@@ -13,7 +13,7 @@ training speed. No broadcasting beyond what the model needs.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -272,8 +272,9 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b) -> Tensor:
-    """Elementwise (broadcasting) product; b may be a plain scalar/array constant."""
-    a, b = _as_tensor(a), _as_tensor(b)
+    """Elementwise (broadcasting) product; a plain scalar/array b is a constant of a's dtype."""
+    a = _as_tensor(a)
+    b = b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=a.dtype))
     out = Tensor(a.data * b.data)
 
     def bwd(g):
@@ -506,13 +507,13 @@ def max_over_axis(x: Tensor, axis: int) -> Tensor:
 
 
 def take(x: Tensor, indices: tuple[np.ndarray, ...]) -> Tensor:
-    """Advanced-index gather x[indices] -> 1-D; gradient scatter-adds."""
+    """Advanced-index gather x[indices], shaped like the broadcast indices; gradient scatter-adds."""
     x = _as_tensor(x)
     out = Tensor(x.data[indices])
 
     def bwd(g):
-        flat = np.ravel_multi_index(indices, x.shape)
-        gx = np.bincount(flat, weights=g.astype(np.float64), minlength=x.data.size)
+        flat = np.ravel_multi_index(indices, x.shape).reshape(-1)
+        gx = np.bincount(flat, weights=g.reshape(-1).astype(np.float64), minlength=x.data.size)
         return (gx.astype(x.dtype).reshape(x.shape),)
 
     return _record(out, (x,), bwd)

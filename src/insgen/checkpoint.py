@@ -66,17 +66,26 @@ def load(path: str) -> tuple[InsertionModel, dict[str, Any]]:
         data = f.read()
     if data[:4] != MAGIC:
         raise CheckpointError(f"{path}: bad magic {data[:4]!r}, expected {MAGIC!r}")
-    (version,) = struct.unpack_from("<I", data, 4)
+    pos = 4
+
+    def read(n: int, what: str) -> bytes:
+        nonlocal pos
+        if pos + n > len(data):
+            raise CheckpointError(f"{path}: truncated: {what} ends past the {len(data)}-byte file")
+        pos += n
+        return data[pos - n : pos]
+
+    def u32(what: str) -> int:
+        return struct.unpack("<I", read(4, what))[0]
+
+    version = u32("version")
     if version != VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
-    (header_len,) = struct.unpack_from("<I", data, 8)
-    pos = 12
-    header = json.loads(data[pos : pos + header_len])
-    pos += header_len
-    (manifest_len,) = struct.unpack_from("<I", data, pos)
-    pos += 4
-    manifest = json.loads(data[pos : pos + manifest_len])
-    pos += manifest_len
+    try:
+        header = json.loads(read(u32("header length"), "header"))
+        manifest = json.loads(read(u32("manifest length"), "manifest"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CheckpointError(f"{path}: unreadable header or manifest: {e}") from None
     blob = data[pos:]
 
     config = ModelConfig(**header["config"])
@@ -90,6 +99,8 @@ def load(path: str) -> tuple[InsertionModel, dict[str, Any]]:
         shape = tuple(entry["shape"])
         n = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
+        if start + 4 * n > len(blob):
+            raise CheckpointError(f"{path}: truncated: {entry['name']} ends past the {len(blob)}-byte blob")
         arr = np.frombuffer(blob, dtype="<f4", count=n, offset=start).reshape(shape)
         param = model.params[entry["name"]]
         if param.shape != shape:

@@ -7,11 +7,8 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import os
 import sys
-
-import numpy as np
 
 from .canvas import TokenSeq
 from .checkpoint import CheckpointError, load as load_checkpoint
@@ -83,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _decode_config_from(extra: dict, mode, beta, max_output_length) -> DecodeConfig:
+def _decode_config_from(model: InsertionModel, extra: dict, mode, beta, max_output_length) -> DecodeConfig:
     base = dict(extra.get("decode", {}))
     base.pop("max_iterations", None)  # re-derived from max_output_length
     cfg = DecodeConfig(**base) if base else DecodeConfig()
@@ -97,6 +94,10 @@ def _decode_config_from(extra: dict, mode, beta, max_output_length) -> DecodeCon
     termination = extra.get("loss", {}).get("termination")
     if termination:
         cfg.termination = termination
+    # the decoder sees canvases of up to max_output_length - 1 tokens, plus two markers
+    n, positions = cfg.max_output_length, model.config.max_positions
+    if n + 1 > positions:
+        raise ConfigError(f"max_output_length {n} needs {n + 1} decoder positions; the model has {positions}")
     return cfg
 
 
@@ -155,7 +156,7 @@ def _read_sources(args, vocab: Vocab) -> list[TokenSeq]:
 
 def cmd_decode(args) -> int:
     model, extra, vocab = _load_model(args.checkpoint)
-    config = _decode_config_from(extra, args.mode, args.beta, args.max_output_length)
+    config = _decode_config_from(model, extra, args.mode, args.beta, args.max_output_length)
     sources = _read_sources(args, vocab)
     for index, x in enumerate(sources):
         out, trace = decode(model, x, config)
@@ -180,7 +181,7 @@ def _sweep_spec(raw: str) -> list[float]:
 
 def cmd_eval(args) -> int:
     model, extra, vocab = _load_model(args.checkpoint)
-    config = _decode_config_from(extra, args.mode, args.beta, None)
+    config = _decode_config_from(model, extra, args.mode, args.beta, None)
     if args.data is not None:
         dataset, _ = load_corpus(args.data, vocab)
     else:

@@ -4,7 +4,8 @@ Greedy decoding picks the single best (content, location) action per
 iteration. Parallel decoding computes per-slot conditionals, takes each
 slot's best content, drops slots whose best decision is a terminal token,
 and inserts into all remaining slots simultaneously; a length-n output can
-finish in as few as floor(log2 n) + 1 insertion iterations.
+finish in as few as floor(log2 n) + 1 insertion iterations. A step that
+would overrun max_output_length keeps only its best-scoring insertions.
 
 A terminal-token penalty (subtracted from terminal log-probs before any
 argmax, never from reported likelihoods) counters premature stopping.
@@ -185,6 +186,10 @@ def parallel_decode(policy, x: TokenSeq, config: DecodeConfig) -> tuple[TokenSeq
         joint = policy.log_probs(memory, canvas)
         conditionals = conditional_log_probs(joint)
         actions, logps = parallel_step(conditionals, config.eos_penalty)
+        room = config.max_output_length - len(canvas)
+        if len(actions) > room:  # keep the best-scoring actions, ties to the lowest location
+            keep = sorted(sorted(range(len(actions)), key=lambda i: -logps[i])[:room])
+            actions, logps = [actions[i] for i in keep], [logps[i] for i in keep]
         records = tuple((a.content, a.location, lp) for a, lp in zip(actions, logps))
         trace.steps.append(TraceStep(canvas.tokens, records))
         if not actions:

@@ -1,33 +1,35 @@
-"""Training objectives over insertion actions.
+"""Training objective: slot targets and the one weighted-NLL loss.
 
-Three generation-order losses share one interface: every slot loss
-consumes joint log-probabilities log p(content, location) (the factorized
-head supplies log p(l) + log p(c|l)) and targets the tokens of the slot's
-missing span.
+Every generation order trains on the same quantity: a weighted negative
+log-likelihood of the joint log p(content, location) (the factorized head
+supplies log p(l) + log p(c|l)) over the tokens of each slot's missing
+span. The orders differ only in their targets:
 
-  * left_to_right -- supervise only the next token at the rightmost slot
-    of a sampled prefix (end-of-sequence once the prefix is complete).
-  * binary_tree   -- weight each span token by a softmax over its distance
-    from the span center; low temperature concentrates on the center.
-  * uniform       -- the temperature -> infinity limit: plain mean over
-    the span (kept as an independent implementation for cross-checking).
+  * binary_tree   -- weight each span token by softmax(-d / tau) of its
+    distance d from the span center; low temperature concentrates on it.
+  * uniform       -- the tau -> infinity limit: equal weights 1/len(span).
+  * left_to_right -- one target, the next token at the rightmost slot of
+    a sampled prefix (end-of-sequence once the prefix is complete).
 
 Termination supervision comes in two regimes: slot finalization turns
 every empty span into an end-of-slot target; sequence finalization drops
 empty spans, except that a fully complete canvas targets end-of-sequence
 at every location.
+
+`weighted_nll` evaluates the loss of a whole batch as one gather: the mean
+over items of the mean over each item's slot losses.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .canvas import Canvas, CanvasSample, SlotSpan, TokenSeq, slot_spans
+from .canvas import CanvasSample, SlotSpan, TokenSeq, slot_spans
 from .vocab import EOS, EOSLOT
 
 ORDERS = ("left_to_right", "binary_tree", "uniform")
@@ -90,45 +92,6 @@ def slot_weights(span: SlotSpan, tau: float) -> np.ndarray:
     return e / e.sum()
 
 
-def _nll_terms(logp, location: int, token_ids, weights) -> Tensor:
-    rows = np.full(len(token_ids), location, dtype=np.int64)
-    cols = np.asarray(token_ids, dtype=np.int64)
-    picked = ad.take(logp if isinstance(logp, Tensor) else Tensor(logp), (rows, cols))
-    return ad.neg(ad.tsum(ad.mul(picked, np.asarray(weights, dtype=np.float64))))
-
-
-def binary_tree_slot_loss(logp, y: TokenSeq, span: SlotSpan, location: int, tau: float) -> Tensor:
-    """Center-weighted sum of negative log-likelihoods over the span's tokens."""
-    if span.empty:
-        raise ValueError("binary_tree_slot_loss needs a nonempty span")
-    w = slot_weights(span, tau)
-    tokens = tuple(y[span.first : span.last + 1])
-    return _nll_terms(logp, location, tokens, w)
-
-
-def uniform_slot_loss(logp, y: TokenSeq, span: SlotSpan, location: int) -> Tensor:
-    """Plain mean of negative log-likelihoods over the span's tokens.
-
-    Independent of the temperature-weighted path; the two must agree in the
-    tau -> infinity limit.
-    """
-    if span.empty:
-        raise ValueError("uniform_slot_loss needs a nonempty span")
-    tokens = tuple(y[span.first : span.last + 1])
-    rows = np.full(len(tokens), location, dtype=np.int64)
-    cols = np.asarray(tokens, dtype=np.int64)
-    picked = ad.take(logp if isinstance(logp, Tensor) else Tensor(logp), (rows, cols))
-    return ad.neg(ad.tmean(picked))
-
-
-def full_loss(slot_losses: list) -> Tensor:
-    """Arithmetic mean of the included slot losses."""
-    if not slot_losses:
-        raise ValueError("full_loss needs at least one slot loss")
-    ts = [l if isinstance(l, Tensor) else Tensor(np.asarray(float(l))) for l in slot_losses]
-    return ad.tmean(ad.stack([ad.reshape(t, ()) for t in ts]))
-
-
 def build_slot_targets(y: TokenSeq, sample: CanvasSample, config: LossConfig) -> list[SlotTarget]:
     """Per-slot supervision for one sampled canvas under the configured loss."""
     spans = slot_spans(y, sample)
@@ -158,33 +121,21 @@ def left_to_right_targets(y: TokenSeq, k: int) -> list[SlotTarget]:
     return [SlotTarget(location=k, kind="span", span=SlotSpan(k, k), weights=(1.0,))]
 
 
-def targets_loss(logp, y: TokenSeq, targets: list[SlotTarget]) -> Tensor:
-    """Mean over slot-target losses for one item (single-item reference route)."""
-    per_slot = [_nll_terms(logp, t.location, t.token_ids(y), t.weights) for t in targets]
-    return full_loss(per_slot)
+def weighted_nll(logp: Tensor, ys: Sequence[TokenSeq], targets: Sequence[list[SlotTarget]]) -> Tensor:
+    """Batch loss from joint log-probs (B, C+1, V): mean over rows of their mean slot losses.
 
-
-def sample_loss(logp, y: TokenSeq, sample: CanvasSample, config: LossConfig) -> Tensor:
-    """Full loss of one (target, sampled canvas) pair."""
-    return targets_loss(logp, y, build_slot_targets(y, sample, config))
-
-
-def left_to_right_loss(model, x: TokenSeq, y: TokenSeq, k: int | None = None, rng=None) -> Tensor:
-    """NLL of inserting the next token at the rightmost slot of a sampled prefix."""
-    if k is None:
-        if rng is None:
-            raise ValueError("need either an explicit prefix length k or an rng to draw one")
-        k = int(rng.integers(0, len(y) + 1))
-    targets = left_to_right_targets(y, k)
-    memory = model.encode(x)
-    logp = model_joint_tensor(model, memory, Canvas(tuple(y[:k])))
-    return targets_loss(logp, y, targets)
-
-
-def model_joint_tensor(model, memory, canvas: Canvas) -> Tensor:
-    """Joint log-prob Tensor (T+1, vocab) for one canvas, kept on the tape."""
-    mem, src_mask = memory
-    ids = np.asarray([list(canvas.tokens)], dtype=np.int64).reshape(1, len(canvas))
-    H, slot_mask = model.slot_matrix_batch(mem, src_mask, ids, np.array([len(canvas)]))
-    joint = model.joint_log_probs_batch(H, slot_mask)
-    return ad.reshape(joint, joint.shape[1:])
+    Row b supervises `targets[b]` against its output sequence `ys[b]`; each
+    slot loss is the target-weighted negative log-likelihood of its tokens.
+    """
+    B = len(targets)
+    index, weights = [], []  # one (row, location, token) per supervised token
+    for b, (y, row) in enumerate(zip(ys, targets)):
+        if not row:
+            raise ValueError(f"row {b} has no slot targets")
+        share = 1.0 / (len(row) * B)
+        for t in row:
+            for tok, w in zip(t.token_ids(y), t.weights):
+                index.append((b, t.location, tok))
+                weights.append(w * share)
+    picked = ad.take(logp, tuple(np.asarray(index, dtype=np.int64).T))
+    return ad.neg(ad.tsum(ad.mul(picked, np.asarray(weights, dtype=logp.dtype))))

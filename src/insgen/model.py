@@ -20,7 +20,7 @@ arrays plus lengths and mask internally.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -245,7 +245,6 @@ class InsertionModel:
         cfg = self.config
         B, S1, _ = H.shape
         V = cfg.vocab_size
-        slot_gate = np.where(slot_mask, 0.0, NEG_INF).astype(H.dtype)[:, :, None]
         bias = None
         g = None
         if cfg.use_contextual_bias or cfg.mos_components > 1:
@@ -256,6 +255,7 @@ class InsertionModel:
         components = self._content_logits(H, bias)
 
         if cfg.head_variant == "joint":
+            slot_gate = np.where(slot_mask, 0.0, NEG_INF).astype(H.dtype)[:, :, None]
             per_comp = []
             for logits in components:
                 gated = ad.add(logits, Tensor(slot_gate))
@@ -263,28 +263,17 @@ class InsertionModel:
                 per_comp.append(ad.reshape(ad.log_softmax(flat, axis=-1), (B, S1, V)))
             if cfg.mos_components == 1:
                 return per_comp[0]
-            prior = ad.matmul(ad.reshape(g, (B, 1, -1)), self.params["out.mos_prior"])
-            log_prior = ad.log_softmax(ad.reshape(prior, (B, cfg.mos_components)), axis=-1)
-            stacked = ad.stack(per_comp, axis=0)  # (K, B, S1, V)
-            shifted = ad.add(stacked, ad.reshape(log_prior, (cfg.mos_components, B, 1, 1)))
-            return ad.logsumexp(shifted, axis=0)
+            prior = ad.matmul(ad.reshape(g, (B, 1, -1)), self.params["out.mos_prior"])  # (B, 1, K)
+            return _mix(per_comp, ad.log_softmax(prior, axis=-1))
 
         # factorized: p(l) from the location query, p(c|l) per slot
-        loc = ad.reshape(ad.matmul(H, self.params["out.loc_query"]), (B, S1))
-        loc = ad.add(loc, Tensor(slot_gate[:, :, 0]))
-        log_p_loc = ad.log_softmax(loc, axis=-1)
+        log_p_loc = self.location_log_probs_batch(H, slot_mask)
         per_comp = [ad.log_softmax(logits, axis=-1) for logits in components]
         if cfg.mos_components == 1:
             log_p_content = per_comp[0]
         else:
             prior = ad.matmul(H, self.params["out.mos_prior"])  # (B, S1, K)
-            log_prior = ad.log_softmax(prior, axis=-1)
-            stacked = ad.stack(per_comp, axis=0)  # (K, B, S1, V)
-            prior_first = ad.reshape(
-                ad.stack([take_component(log_prior, k) for k in range(cfg.mos_components)], axis=0),
-                (cfg.mos_components, B, S1, 1),
-            )
-            log_p_content = ad.logsumexp(ad.add(stacked, prior_first), axis=0)
+            log_p_content = _mix(per_comp, ad.log_softmax(prior, axis=-1))
         return ad.add(ad.reshape(log_p_loc, (B, S1, 1)), log_p_content)
 
     def location_log_probs_batch(self, H: Tensor, slot_mask: np.ndarray) -> Tensor:
@@ -311,18 +300,19 @@ class InsertionModel:
         H, slot_mask = self.slot_matrix_batch(mem, src_mask, ids, np.array([len(canvas)]))
         return self.joint_log_probs_batch(H, slot_mask).data[0]
 
-    def slot_matrix(self, memory, canvas: Canvas) -> np.ndarray:
-        mem, src_mask = memory
-        ids = np.asarray([list(canvas.tokens)], dtype=np.int64).reshape(1, len(canvas))
-        H, _ = self.slot_matrix_batch(mem, src_mask, ids, np.array([len(canvas)]))
-        return H.data[0]
 
+def _mix(per_comp: list[Tensor], log_prior: Tensor) -> Tensor:
+    """Mixture log sum_k pi_k p_k of K component log-probs (B, S1, V).
 
-def take_component(t: Tensor, k: int) -> Tensor:
-    """Select component k from the trailing axis: (..., K) -> (...)."""
-    idx = tuple(np.indices(t.shape[:-1])) + (np.full(t.shape[:-1], k, dtype=np.int64),)
-    flatidx = tuple(a.reshape(-1) for a in idx)
-    return ad.reshape(ad.take(t, flatidx), t.shape[:-1])
+    `log_prior` is (B, P, K) with P = S1 (a prior per slot) or P = 1 (one
+    per item); one gather moves its component axis first, to (K, B, P, 1).
+    """
+    B, P, K = log_prior.shape
+    k = np.arange(K)[:, None, None, None]
+    b = np.arange(B)[None, :, None, None]
+    p = np.arange(P)[None, None, :, None]
+    prior_first = ad.take(log_prior, (b, p, k))
+    return ad.logsumexp(ad.add(ad.stack(per_comp, axis=0), prior_first), axis=0)
 
 
 def conditional_log_probs(joint_logp: np.ndarray) -> np.ndarray:

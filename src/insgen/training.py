@@ -25,7 +25,7 @@ from . import autodiff as ad
 from . import checkpoint as ckpt
 from .autodiff import Tape, Tensor
 from .canvas import sample_subsequence
-from .losses import LossConfig, SlotTarget, build_slot_targets, left_to_right_targets
+from .losses import LossConfig, SlotTarget, build_slot_targets, left_to_right_targets, weighted_nll
 from .model import InsertionModel
 from .tasks import Dataset
 from .vocab import PAD
@@ -177,23 +177,7 @@ def batch_loss(model: InsertionModel, batch: list[BatchItem]) -> Tensor:
     memory, src_mask = model.encode_batch(src, src_len)
     H, slot_mask = model.slot_matrix_batch(memory, src_mask, canvas, can_len)
     logp = model.joint_log_probs_batch(H, slot_mask)
-
-    rows_b, rows_l, rows_c, weights = [], [], [], []
-    for b, it in enumerate(batch):
-        share = 1.0 / (len(it.targets) * B)
-        for t in it.targets:
-            for tok, w in zip(t.token_ids(it.y), t.weights):
-                rows_b.append(b)
-                rows_l.append(t.location)
-                rows_c.append(tok)
-                weights.append(w * share)
-    idx = (
-        np.asarray(rows_b, dtype=np.int64),
-        np.asarray(rows_l, dtype=np.int64),
-        np.asarray(rows_c, dtype=np.int64),
-    )
-    picked = ad.take(logp, idx)
-    return ad.neg(ad.tsum(ad.mul(picked, np.asarray(weights, dtype=logp.dtype))))
+    return weighted_nll(logp, [it.y for it in batch], [it.targets for it in batch])
 
 
 def train_step(

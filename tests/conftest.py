@@ -3,6 +3,7 @@ import pytest
 
 from insgen import autodiff
 from insgen.perf import limit_blas_threads
+from insgen.vocab import EOS, EOSLOT
 
 limit_blas_threads(1)
 
@@ -35,3 +36,19 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     # coordinates whose true gradient is ~0 compare absolutely
     denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-5)
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def numpy_item_loss(logp: np.ndarray, y, targets) -> float:
+    """Independent oracle for one item's loss from its (slots, vocab) log-probs.
+
+    Mean over slot targets of -sum_i w_i log p(token_i, location), read off
+    the array by plain indexing.
+    """
+    per_slot = []
+    for t in targets:
+        if t.kind == "span":
+            tokens = y[t.span.first : t.span.last + 1]
+        else:
+            tokens = (EOSLOT,) if t.kind == "end_of_slot" else (EOS,)
+        per_slot.append(-sum(w * logp[t.location, c] for c, w in zip(tokens, t.weights)))
+    return float(np.mean(per_slot))

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from insgen import checkpoint
 from insgen.cli import main
 from insgen.config import ConfigError, load_config
 from insgen.decoding import read_trace
@@ -148,3 +149,33 @@ def test_missing_file_exit_code(capsys):
 def test_usage_error_exit_code(capsys):
     assert main(["decode", "--checkpoint", "x"]) == 1  # missing input source
     assert main([]) == 1
+
+
+def test_output_length_past_max_positions_is_rejected(tiny_run, tmp_path, capsys):
+    # the tiny run's model has 64 positions: 63 output tokens fit, 100 do not
+    ckpt = os.path.join(tiny_run, "ckpt-8.insr")
+    argv = ["decode", "--checkpoint", ckpt, "--tokens", "w0 w1", "--mode", "parallel"]
+    assert main(argv + ["--max-output-length", "100"]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert main(argv + ["--max-output-length", "63"]) == 0
+    # a limit stored in the checkpoint is held to the same bound by eval
+    model, extra = checkpoint.load(ckpt)
+    extra["decode"]["max_output_length"] = 100
+    stored = str(tmp_path / "long.insr")
+    checkpoint.save(stored, model, extra=extra)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", stored, "--limit", "2", "--out-dir", str(tmp_path / "eval")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_truncated_checkpoint_is_a_usage_error(tiny_run, tmp_path, capsys):
+    raw = open(os.path.join(tiny_run, "ckpt-8.insr"), "rb").read()
+    header_len = int.from_bytes(raw[8:12], "little")
+    cuts = [0, 2, 6, 10, 12, 12 + header_len // 2, 14 + header_len, 16 + header_len + 10,
+            len(raw) // 2, len(raw) - 1]
+    for cut in cuts:
+        path = tmp_path / f"cut{cut}.insr"
+        path.write_bytes(raw[:cut])
+        assert main(["decode", "--checkpoint", str(path), "--tokens", "w0"]) == 1, cut
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err, (cut, err)

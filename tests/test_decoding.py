@@ -216,6 +216,43 @@ def test_parallel_tree_hits_lower_bound_for_any_length(n):
         assert len(b) - len(a) <= len(a) + 1  # at most one insertion per slot
 
 
+def test_parallel_decode_holds_max_output_length():
+    # the fifth balanced-tree step would grow 15 tokens to 31; it is capped at 20
+    target = tuple((NUM_RESERVED + i % 8) for i in range(40))
+    policy = BalancedTreePolicy(target, vocab_size=V)
+    out, trace = parallel_decode(policy, (0,), DecodeConfig(mode="parallel", max_output_length=20))
+    assert len(out) == 20
+    assert trace.truncated
+    assert is_subsequence(out, target)
+
+
+class _TablePolicy:
+    """Fixed per-canvas log-prob tables (rows are per-slot logits)."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def encode(self, x):
+        return None
+
+    def log_probs(self, memory, canvas):
+        return self.table[canvas.tokens]
+
+
+@pytest.mark.parametrize("right_score, expected", [(3.0, (7, 9)), (2.0, (8, 7))], ids=["best", "tie"])
+def test_parallel_decode_cap_keeps_best_actions(right_score, expected):
+    # one slot of room for two proposals: the higher score wins, a tie goes left
+    first = np.zeros((1, V))
+    first[0, 7] = 5.0
+    second = np.zeros((2, V))
+    second[0, 8] = 2.0
+    second[1, 9] = right_score
+    policy = _TablePolicy({(): first, (7,): second})
+    out, trace = parallel_decode(policy, (0,), DecodeConfig(mode="parallel", max_output_length=2))
+    assert out == expected
+    assert trace.truncated
+
+
 def test_parallel_decode_warns_for_sequence_model():
     policy = BalancedTreePolicy((NUM_RESERVED,), vocab_size=V)
     with pytest.warns(UserWarning, match="sequence-finalization"):

@@ -1,4 +1,4 @@
-"""Loss functions: center weighting, slot losses, termination targets."""
+"""Loss: center weighting, termination targets and the one weighted-NLL loss."""
 
 import math
 
@@ -8,19 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from insgen import autodiff as ad
-from insgen.canvas import Canvas, CanvasSample, SlotSpan, sample_subsequence
+from insgen.canvas import Canvas, CanvasSample, SlotSpan, sample_subsequence, slot_spans
 from insgen.losses import (
     LossConfig,
     SlotTarget,
-    binary_tree_slot_loss,
     build_slot_targets,
-    full_loss,
     left_to_right_targets,
-    sample_loss,
     slot_weights,
     span_center_distance,
-    targets_loss,
-    uniform_slot_loss,
+    weighted_nll,
 )
 from insgen.vocab import EOS, EOSLOT, NUM_RESERVED
 
@@ -107,33 +103,48 @@ def _logp_grid(vocab: int, slots: int, rng) -> np.ndarray:
     return (flat - logz).reshape(slots, vocab)
 
 
+def _item_loss(logp: np.ndarray, y, targets) -> float:
+    """The batch loss of a single item (B = 1) from hand-built log-probs."""
+    return weighted_nll(ad.tensor(logp[None]), [y], [targets]).item()
+
+
+def _span_target(span: SlotSpan, location: int, weights) -> SlotTarget:
+    return SlotTarget(location=location, kind="span", span=span, weights=tuple(weights))
+
+
 def test_binary_tree_slot_loss_half_probability():
     # both span tokens at p = 0.5: weighted sum of log 2 with weights summing to 1
     logp = np.full((2, NUM_RESERVED + 4), -50.0)
     y = (NUM_RESERVED, NUM_RESERVED + 1)
     logp[1, y[0]] = math.log(0.5)
     logp[1, y[1]] = math.log(0.5)
-    loss = binary_tree_slot_loss(logp, y, SlotSpan(0, 1), location=1, tau=1.0)
-    assert abs(loss.item() - math.log(2)) < 1e-12
+    span = SlotSpan(0, 1)
+    loss = _item_loss(logp, y, [_span_target(span, 1, slot_weights(span, 1.0))])
+    assert abs(loss - math.log(2)) < 1e-12
 
 
 def test_binary_tree_slot_loss_singleton():
     logp = np.full((1, NUM_RESERVED + 2), math.log(0.1))
     y = (NUM_RESERVED,)
-    loss = binary_tree_slot_loss(logp, y, SlotSpan(0, 0), 0, tau=0.7)
-    assert abs(loss.item() + math.log(0.1)) < 1e-12
+    span = SlotSpan(0, 0)
+    loss = _item_loss(logp, y, [_span_target(span, 0, slot_weights(span, 0.7))])
+    assert abs(loss + math.log(0.1)) < 1e-12
 
 
 def test_uniform_slot_loss_hand_values():
+    # uniform targets come from build_slot_targets: an empty canvas has one span
     logp = np.full((1, NUM_RESERVED + 3), math.log(0.25))
     y = (NUM_RESERVED, NUM_RESERVED + 1)
-    loss = uniform_slot_loss(logp, y, SlotSpan(0, 1), 0)
-    assert abs(loss.item() - math.log(4)) < 1e-12
-    single = uniform_slot_loss(logp, y, SlotSpan(1, 1), 0)
-    assert abs(single.item() + math.log(0.25)) < 1e-12
+    config = LossConfig(order="uniform", termination="slot")
+    targets = build_slot_targets(y, CanvasSample(kept_indices=(), canvas=Canvas()), config)
+    assert targets[0].weights == (0.5, 0.5)
+    assert abs(_item_loss(logp, y, targets) - math.log(4)) < 1e-12
+    single = build_slot_targets(y[1:], CanvasSample(kept_indices=(), canvas=Canvas()), config)
+    assert abs(_item_loss(logp, y[1:], single) + math.log(0.25)) < 1e-12
 
 
 def test_binary_tree_limit_equals_uniform_500_random_instances():
+    # oracle: the plain mean over the span's log-probs, straight off the array
     rng = np.random.default_rng(42)
     vocab = NUM_RESERVED + 8
     for _ in range(500):
@@ -145,20 +156,27 @@ def test_binary_tree_limit_equals_uniform_500_random_instances():
         location = int(rng.integers(0, slots))
         logp = _logp_grid(vocab, slots, rng)
         span = SlotSpan(first, last)
-        bt = binary_tree_slot_loss(logp, y, span, location, tau=1e9).item()
-        uni = uniform_slot_loss(logp, y, span, location).item()
+        bt = _item_loss(logp, y, [_span_target(span, location, slot_weights(span, 1e9))])
+        uni = -float(np.mean(logp[location, list(y[first : last + 1])]))
         assert abs(bt - uni) < 1e-6
 
 
 def test_full_loss_identity_and_mean():
-    assert abs(full_loss([1.7]).item() - 1.7) < 1e-12
-    got = full_loss([math.log(2), math.log(4)]).item()
-    assert abs(got - 1.5 * math.log(2)) < 1e-12
+    # an item's loss is the arithmetic mean of its slot losses
+    logp = np.full((2, NUM_RESERVED + 2), -50.0)
+    logp[0, EOSLOT] = -1.7
+    logp[1, EOSLOT] = -math.log(2)
+    logp[1, EOS] = -math.log(4)
+    first = SlotTarget(location=0, kind="end_of_slot")
+    assert abs(_item_loss(logp, (), [first]) - 1.7) < 1e-12
+    pair = [SlotTarget(location=1, kind="end_of_slot"), SlotTarget(location=1, kind="end_of_sequence")]
+    assert abs(_item_loss(logp, (), pair) - 1.5 * math.log(2)) < 1e-12
 
 
 def test_full_loss_rejects_empty():
-    with pytest.raises(ValueError):
-        full_loss([])
+    logp = ad.tensor(np.zeros((2, 1, NUM_RESERVED + 2)))
+    with pytest.raises(ValueError, match="row 1"):
+        weighted_nll(logp, [(), ()], [[SlotTarget(location=0, kind="end_of_slot")], []])
 
 
 def test_build_slot_targets_complete_canvas_both_modes():
@@ -220,8 +238,7 @@ def test_left_to_right_perfect_model_zero_loss():
     y = (7, 8)
     logp = np.full((1, NUM_RESERVED + 4), -60.0)
     logp[0, 7] = 0.0  # p = 1 on the correct action
-    loss = targets_loss(logp, y, left_to_right_targets(y, 0))
-    assert abs(loss.item()) < 1e-12
+    assert abs(_item_loss(logp, y, left_to_right_targets(y, 0))) < 1e-12
 
 
 def test_analytic_minimum_on_two_token_toy():
@@ -229,13 +246,13 @@ def test_analytic_minimum_on_two_token_toy():
     # the cross entropy at p == w, i.e. -sum(w log w)
     y = (NUM_RESERVED, NUM_RESERVED + 1)
     span = SlotSpan(0, 1)
-    tau = 1.3
-    w = slot_weights(span, tau)
+    w = slot_weights(span, 1.3)
+    targets = [_span_target(span, 0, w)]
     vocab = NUM_RESERVED + 2
     best = np.full((1, vocab), -1e9)
     best[0, y[0]] = math.log(w[0])
     best[0, y[1]] = math.log(w[1])
-    optimum = binary_tree_slot_loss(best, y, span, 0, tau).item()
+    optimum = _item_loss(best, y, targets)
     expected = -(w[0] * math.log(w[0]) + w[1] * math.log(w[1]))
     assert abs(optimum - expected) < 1e-9
     # enumeration oracle: no distribution over the two correct actions does better
@@ -243,8 +260,7 @@ def test_analytic_minimum_on_two_token_toy():
         trial = np.full((1, vocab), -1e9)
         trial[0, y[0]] = math.log(p0)
         trial[0, y[1]] = math.log(1 - p0)
-        val = binary_tree_slot_loss(trial, y, span, 0, tau).item()
-        assert val >= optimum - 1e-9
+        assert _item_loss(trial, y, targets) >= optimum - 1e-9
 
 
 def test_loss_gradients_match_finite_differences():
@@ -255,10 +271,12 @@ def test_loss_gradients_match_finite_differences():
     sample = CanvasSample(kept_indices=(1,), canvas=Canvas((y[1],)))
 
     def build(config):
+        targets = build_slot_targets(y, sample, config)
+
         def f():
             flat = ad.reshape(logits, (1, 4 * vocab))
-            logp = ad.reshape(ad.log_softmax(flat, axis=-1), (4, vocab))
-            return sample_loss(logp, y, sample, config)
+            logp = ad.reshape(ad.log_softmax(flat, axis=-1), (1, 4, vocab))
+            return weighted_nll(logp, [y], [targets])
 
         return f
 
@@ -276,24 +294,31 @@ def test_loss_gradients_match_finite_differences():
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.integers(0, 2**31 - 1), st.integers(1, 6))
-def test_sample_loss_matches_slotwise_reference(seed, n):
-    # batch-style target building must equal the per-slot op composition
+@given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 3))
+def test_batch_loss_matches_slotwise_reference(seed, n, batch):
+    # the one gather over a padded batch equals the mean of per-slot oracles
     rng = np.random.default_rng(seed)
     vocab = NUM_RESERVED + 6
-    y = tuple(rng.integers(NUM_RESERVED, vocab, size=n).tolist())
-    sample = sample_subsequence(y, rng)
-    logp = _logp_grid(vocab, len(sample.canvas) + 1, rng)
-    config = LossConfig(order="binary_tree", temperature=1.1, termination="slot")
-    from insgen.canvas import slot_spans
+    tau = 1.1
+    config = LossConfig(order="binary_tree", temperature=tau, termination="slot")
+    ys, samples = [], []
+    for _ in range(batch):
+        y = tuple(rng.integers(NUM_RESERVED, vocab, size=n).tolist())
+        ys.append(y)
+        samples.append(sample_subsequence(y, rng))
+    slots = max(len(s.canvas) for s in samples) + 1
+    logp = np.stack([_logp_grid(vocab, slots, rng) for _ in range(batch)])
 
-    spans = slot_spans(y, sample)
-    ref_terms = []
-    for l, span in enumerate(spans):
-        if span.empty:
-            ref_terms.append(-logp[l, EOSLOT])
-        else:
-            ref_terms.append(binary_tree_slot_loss(logp, y, span, l, 1.1).item())
-    expected = float(np.mean(ref_terms))
-    got = sample_loss(logp, y, sample, config).item()
-    assert abs(got - expected) < 1e-9
+    expected = []
+    for b, (y, sample) in enumerate(zip(ys, samples)):
+        terms = []
+        for l, span in enumerate(slot_spans(y, sample)):
+            if span.empty:
+                terms.append(-logp[b, l, EOSLOT])
+            else:
+                w = slot_weights(span, tau)
+                terms.append(-float(np.dot(w, logp[b, l, list(y[span.first : span.last + 1])])))
+        expected.append(np.mean(terms))
+    targets = [build_slot_targets(y, s, config) for y, s in zip(ys, samples)]
+    got = weighted_nll(ad.tensor(logp), ys, targets).item()
+    assert abs(got - float(np.mean(expected))) < 1e-9

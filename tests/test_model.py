@@ -42,6 +42,13 @@ def _joint(model, x, canvas):
     return model.log_probs(model.encode(x), Canvas(canvas))
 
 
+def _slots(model, memory, canvas) -> np.ndarray:
+    """Slot matrix (T+1, d_model) of one canvas through the batched decoder."""
+    ids = np.asarray([list(canvas)], dtype=np.int64).reshape(1, len(canvas))
+    H, _ = model.slot_matrix_batch(memory[0], memory[1], ids, np.array([len(canvas)]))
+    return H.data[0]
+
+
 def test_encode_shape_contract():
     model = make_model()
     memory, _ = model.encode((7, 8, 9))
@@ -64,23 +71,23 @@ def test_encode_rejects_overlong_input():
 def test_slot_matrix_row_counts():
     model = make_model()
     memory = model.encode((7, 8))
-    assert model.slot_matrix(memory, Canvas()).shape == (1, 16)
-    assert model.slot_matrix(memory, Canvas((7, 8, 9, 10))).shape == (5, 16)
+    assert _slots(model, memory, ()).shape == (1, 16)
+    assert _slots(model, memory, (7, 8, 9, 10)).shape == (5, 16)
 
 
 def test_slot_matrix_rejects_overlong_canvas():
     model = make_model()
     memory = model.encode((7,))
     with pytest.raises(ValueError, match="max_positions"):
-        model.slot_matrix(memory, Canvas(tuple([7] * 15)))
+        _slots(model, memory, (7,) * 15)
 
 
 def test_insertion_changes_every_slot_row():
     # no causal cache is possible: all decoder states depend on the whole canvas
     model = make_model()
     memory = model.encode((7, 8))
-    before = model.slot_matrix(memory, Canvas((7, 8)))
-    after = model.slot_matrix(memory, Canvas((7, 9, 8)))
+    before = _slots(model, memory, (7, 8))
+    after = _slots(model, memory, (7, 9, 8))
     # compare the two slots flanking the untouched first token
     assert not np.allclose(before[0], after[0])
     assert not np.allclose(before[1], after[1])
@@ -222,7 +229,7 @@ def test_mos_sums_to_one_and_matches_hand_mixture():
 def test_mos_forced_prior_selects_component():
     model = make_model(head_variant="factorized", mos_components=2)
     memory = model.encode((6, 7))
-    h = model.slot_matrix(memory, Canvas())[0]
+    h = _slots(model, memory, ())[0]
     # point the prior at component 0 for this slot vector: h . p0 = 50, h . p1 = 0
     model.params["out.mos_prior"].data[:] = 0.0
     model.params["out.mos_prior"].data[:, 0] = 50.0 * h / (h @ h)
@@ -234,19 +241,18 @@ def test_mos_forced_prior_selects_component():
 
 
 def test_batched_and_single_paths_agree():
-    model = make_model()
-    xs = [(6, 7, 8), (9, 10)]
-    canvases = [(7, 8), (9,)]
-    singles = [_joint(model, x, c) for x, c in zip(xs, canvases)]
-
-    src = np.full((2, 3), 0, dtype=np.int64)
-    src[0, :3] = xs[0]
-    src[1, :2] = xs[1]
-    canvas = np.full((2, 2), 0, dtype=np.int64)
-    canvas[0, :2] = canvases[0]
-    canvas[1, :1] = canvases[1]
-    memory, src_mask = model.encode_batch(src, np.array([3, 2]))
-    H, slot_mask = model.slot_matrix_batch(memory, src_mask, canvas, np.array([2, 1]))
-    joint = model.joint_log_probs_batch(H, slot_mask).data
-    np.testing.assert_allclose(joint[0], singles[0], atol=1e-9)
-    np.testing.assert_allclose(joint[1][:2], singles[1], atol=1e-9)
+    # a row of a padded batch must not see the other rows, for every head
+    xs = [(6, 7, 8), (9, 10), (8,)]
+    canvases = [(7, 8), (9,), ()]
+    src = np.zeros((3, 3), dtype=np.int64)
+    canvas = np.zeros((3, 2), dtype=np.int64)
+    for b, (x, c) in enumerate(zip(xs, canvases)):
+        src[b, : len(x)] = x
+        canvas[b, : len(c)] = c
+    for variant in ALL_VARIANTS:
+        model = make_model(**variant)
+        memory, src_mask = model.encode_batch(src, np.array([3, 2, 1]))
+        H, slot_mask = model.slot_matrix_batch(memory, src_mask, canvas, np.array([2, 1, 0]))
+        joint = model.joint_log_probs_batch(H, slot_mask).data
+        for b, (x, c) in enumerate(zip(xs, canvases)):
+            np.testing.assert_allclose(joint[b, : len(c) + 1], _joint(model, x, c), atol=1e-9, err_msg=str(variant))

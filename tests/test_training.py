@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from insgen import autodiff as ad
-from insgen import checkpoint
+from insgen import checkpoint, training
 from insgen.canvas import Canvas, CanvasSample
-from insgen.losses import LossConfig, sample_loss, targets_loss
+from insgen.decoding import DecodeConfig, decode
+from insgen.losses import LossConfig
 from insgen.model import InsertionModel, ModelConfig
 from insgen.tasks import TaskSpec, generate_datasets
 from insgen.training import (
@@ -28,6 +29,8 @@ from insgen.training import (
     train_step,
 )
 from insgen.vocab import NUM_RESERVED
+
+from conftest import numpy_item_loss
 
 
 def tiny_model(**kw) -> InsertionModel:
@@ -141,18 +144,40 @@ def test_batch_loss_matches_per_item_reference():
     for item in batch:
         memory = model.encode(item.x)
         logp = model.log_probs(memory, Canvas(item.canvas))
-        ref_losses.append(targets_loss(logp, item.y, item.targets).item())
+        ref_losses.append(numpy_item_loss(logp, item.y, item.targets))
     assert got == pytest.approx(float(np.mean(ref_losses)), abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "config, expected",
+    [
+        pytest.param(LossConfig(order="binary_tree", temperature=0.8, termination="slot"),
+                     4.8210505059557835, id="binary_tree"),
+        pytest.param(LossConfig(order="uniform", termination="sequence"), 4.326765536683467, id="uniform"),
+        pytest.param(LossConfig(order="left_to_right", termination="sequence"),
+                     4.231702126628173, id="left_to_right"),
+    ],
+)
+def test_batch_loss_pinned_values(config, expected):
+    # values of the float64 tiny model on fixed seeded batches; each order's
+    # loss must not drift when the loss code is reorganized
+    batch = make_training_batch(tiny_dataset(), config, np.random.default_rng(1), 6)
+    assert batch_loss(tiny_model(), batch).item() == pytest.approx(expected, abs=1e-9)
 
 
 def test_full_model_gradients_match_finite_differences_sampled():
     # spot-check end-to-end gradients on a random subset of coordinates of
-    # every parameter (the acceptance suite sweeps every coordinate)
-    model = tiny_model(head_variant="factorized", use_contextual_bias=True, mos_components=2)
+    # every parameter (the acceptance suite sweeps every coordinate), for both
+    # heads with contextual bias and a mixture of softmaxes
     dataset = tiny_dataset(8, max_length=4)
     config = LossConfig(order="binary_tree", temperature=1.0, termination="slot")
     batch = make_training_batch(dataset, config, np.random.default_rng(2), 2)
+    for head_variant in ("factorized", "joint"):
+        model = tiny_model(head_variant=head_variant, use_contextual_bias=True, mos_components=2)
+        _check_sampled_gradients(model, batch)
 
+
+def _check_sampled_gradients(model, batch):
     model.zero_grads()
     with ad.Tape() as tape:
         loss = batch_loss(model, batch)
@@ -172,7 +197,33 @@ def test_full_model_gradients_match_finite_differences_sampled():
             flat[idx] = orig
             numeric = (up - down) / (2 * eps)
             denom = max(abs(numeric), abs(grad[idx]), 1e-5)
-            assert abs(grad[idx] - numeric) / denom < 1e-4, f"{name}[{idx}]"
+            assert abs(grad[idx] - numeric) / denom < 1e-4, f"{model.config.head_variant} {name}[{idx}]"
+
+
+def test_float32_model_computes_in_float32(monkeypatch):
+    # every tape output of a float32 train step (two micro-batches, so the
+    # loss combination runs too) and of decoding stays float32
+    tapes = []
+
+    class RecordingTape(ad.Tape):
+        def __enter__(self):
+            tapes.append(self)
+            return super().__enter__()
+
+    monkeypatch.setattr(training, "Tape", RecordingTape)
+    model = tiny_model(dtype="float32")
+    batch = make_training_batch(tiny_dataset(), LossConfig(), np.random.default_rng(0), 16)
+    loss = train_step(model, batch, OptimizerState.for_model(model), TrainConfig(micro_batch=8))
+    assert math.isfinite(loss)
+    (tape,) = tapes
+    assert {n.output.dtype for n in tape.nodes} == {np.dtype(np.float32)}
+    assert all(p.grad.dtype == np.float32 for p in model.params.values() if p.grad is not None)
+
+    x = tiny_dataset()[0][0]
+    with ad.Tape() as tape:
+        decode(model, x, DecodeConfig(mode="parallel", max_output_length=6))
+    assert tape.nodes and {n.output.dtype for n in tape.nodes} == {np.dtype(np.float32)}
+    assert model.log_probs(model.encode(x), Canvas((x[0],))).dtype == np.float32
 
 
 def test_train_zero_steps_checkpoint_equals_init(tmp_path):
