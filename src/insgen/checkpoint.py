@@ -88,22 +88,38 @@ def load(path: str) -> tuple[InsertionModel, dict[str, Any]]:
         raise CheckpointError(f"{path}: unreadable header or manifest: {e}") from None
     blob = data[pos:]
 
-    config = ModelConfig(**header["config"])
-    model = InsertionModel(config, seed=0)
-    names = {entry["name"] for entry in manifest}
-    if names != set(model.params):
-        missing = sorted(set(model.params) - names)
-        extra_names = sorted(names - set(model.params))
+    try:
+        config = ModelConfig(**header["config"])
+        model = InsertionModel(config, seed=0)
+        extra = header["extra"]
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: bad header: {type(e).__name__}: {e}") from None
+    shapes = {name: p.shape for name, p in model.params.items()}
+    for name, arr in read_arrays(path, manifest, blob, shapes).items():
+        model.params[name].data = arr.astype(config.np_dtype)
+    return model, extra
+
+
+def read_arrays(path: str, manifest, blob: bytes, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+    """The float32 arrays a (name, shape, offset) manifest places in blob.
+
+    The manifest must name exactly the arrays of `shapes`, with those
+    shapes, each inside the blob; anything else raises CheckpointError.
+    """
+    try:
+        entries = {e["name"]: (tuple(e["shape"]), int(e["offset"])) for e in manifest}
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: malformed manifest: {type(e).__name__}: {e}") from None
+    if set(entries) != set(shapes):
+        missing = sorted(set(shapes) - set(entries))
+        extra_names = sorted(set(entries) - set(shapes))
         raise CheckpointError(f"{path}: manifest mismatch (missing {missing}, unexpected {extra_names})")
-    for entry in manifest:
-        shape = tuple(entry["shape"])
-        n = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        if start + 4 * n > len(blob):
-            raise CheckpointError(f"{path}: truncated: {entry['name']} ends past the {len(blob)}-byte blob")
-        arr = np.frombuffer(blob, dtype="<f4", count=n, offset=start).reshape(shape)
-        param = model.params[entry["name"]]
-        if param.shape != shape:
-            raise CheckpointError(f"{path}: {entry['name']} has shape {shape}, expected {param.shape}")
-        param.data = arr.astype(config.np_dtype)
-    return model, header["extra"]
+    arrays = {}
+    for name, (shape, start) in entries.items():
+        if shape != shapes[name]:
+            raise CheckpointError(f"{path}: {name} has shape {shape}, expected {shapes[name]}")
+        n = int(np.prod(shape))
+        if start < 0 or start + 4 * n > len(blob):
+            raise CheckpointError(f"{path}: truncated: {name} ends past the {len(blob)}-byte blob")
+        arrays[name] = np.frombuffer(blob, dtype="<f4", count=n, offset=start).reshape(shape)
+    return arrays

@@ -2,9 +2,14 @@
 
 Each batch item pairs a source with ONE sampled canvas and its slot
 targets; states are never reused across generation steps, every item is an
-independent forward pass. The whole batch runs as one padded forward, and
-the loss is a single weighted gather over the joint log-probs, equal to
-the mean over items of the mean over each item's slot losses.
+independent forward pass. The loss is the mean over items of the mean
+over each item's slot losses.
+
+A step splits the batch into length-sorted micro-batches. Each runs as one
+padded forward on its own tape, and its backward runs right away, adding
+its share of the gradient into the parameters' .grad. So a step holds the
+activations of one micro-batch at a time, and `micro_batch` bounds step
+memory whatever the batch size.
 
 The batch rng for step t derives from (seed, t), so resuming from a
 checkpoint (parameters + optimizer moments) reproduces an uninterrupted
@@ -44,8 +49,10 @@ class TrainConfig:
     seed: int = 0
     checkpoint_interval: int = 1000
     samples_per_example: int = 1
-    # items are bucketed by length into micro-batches of this size so short
-    # canvases don't pay for the longest one's padding; 0 disables bucketing
+    # items are bucketed by length into micro-batches of this size, each with
+    # its own forward and backward: short canvases don't pay for the longest
+    # one's padding, and step memory is bounded by one micro-batch's
+    # activations; 0 runs the whole batch as one micro-batch
     micro_batch: int = 8
 
     def __post_init__(self):
@@ -187,22 +194,21 @@ def train_step(
     config: TrainConfig,
 ) -> float:
     model.zero_grads()
-    groups = _length_buckets(batch, config.micro_batch)
-    with Tape() as tape:
-        losses = [batch_loss(model, g) for g in groups]
-        if len(losses) == 1:
-            loss = losses[0]
-        else:
-            weights = np.array([len(g) / len(batch) for g in groups])
-            loss = ad.tsum(ad.mul(ad.stack([ad.reshape(l, ()) for l in losses]), weights))
-    tape.backward(loss)
+    loss = 0.0
+    for group in _length_buckets(batch, config.micro_batch):
+        # one tape per micro-batch: its backward adds into p.grad, and its
+        # activations are freed before the next micro-batch runs
+        with Tape() as tape:
+            part = ad.mul(batch_loss(model, group), len(group) / len(batch))
+        tape.backward(part)
+        loss += part.item()
     grads = {name: p.grad for name, p in model.params.items() if p.grad is not None}
     for name, p in model.params.items():
         grads.setdefault(name, np.zeros_like(p.data))
     clip_gradients(grads, config.clip_norm)
     lr = scheduled_learning_rate(config, opt_state.step + 1)
     adam_step(model.params, grads, opt_state, config, lr=lr)
-    return loss.item()
+    return loss
 
 
 def _length_buckets(batch: list[BatchItem], micro_batch: int) -> list[list[BatchItem]]:
@@ -240,18 +246,24 @@ def save_optimizer_state(path: str, state: OptimizerState) -> None:
 
 
 def load_optimizer_state(path: str, model: InsertionModel) -> OptimizerState:
+    """Read a sidecar written by save_optimizer_state; a malformed one raises CheckpointError."""
     with open(path, "rb") as f:
         data = f.read()
+    if len(data) < 4:
+        raise ckpt.CheckpointError(f"{path}: truncated: length prefix ends past the {len(data)}-byte file")
     n = int.from_bytes(data[:4], "little")
-    meta = json.loads(data[4 : 4 + n])
-    blob = data[4 + n :]
-    state = OptimizerState.for_model(model)
-    state.step = meta["step"]
-    for entry in meta["manifest"]:
-        group, name = entry["name"].split(".", 1)
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=entry["offset"]).reshape(shape)
+    if 4 + n > len(data):
+        raise ckpt.CheckpointError(f"{path}: truncated: header ends past the {len(data)}-byte file")
+    try:
+        meta = json.loads(data[4 : 4 + n])
+        step, manifest = int(meta["step"]), meta["manifest"]
+    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+        raise ckpt.CheckpointError(f"{path}: unreadable header: {type(e).__name__}: {e}") from None
+    shapes = {f"{group}.{name}": p.shape for group in ("m", "v") for name, p in model.params.items()}
+    arrays = ckpt.read_arrays(path, manifest, data[4 + n :], shapes)
+    state = OptimizerState(step=step)
+    for key, arr in arrays.items():
+        group, name = key.split(".", 1)
         getattr(state, group)[name] = arr.astype(model.config.np_dtype)
     return state
 

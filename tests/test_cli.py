@@ -179,3 +179,25 @@ def test_truncated_checkpoint_is_a_usage_error(tiny_run, tmp_path, capsys):
         assert main(["decode", "--checkpoint", str(path), "--tokens", "w0"]) == 1, cut
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err, (cut, err)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param({"dropout": 0.1}, id="unknown-field"),
+        pytest.param({"head_variant": "bogus"}, id="invalid-value"),
+        pytest.param({"num_heads": 3}, id="inconsistent-values"),
+        pytest.param({"d_model": "wide"}, id="wrong-type"),
+    ],
+)
+def test_bad_model_config_in_checkpoint_is_a_usage_error(tiny_run, tmp_path, capsys, change):
+    raw = open(os.path.join(tiny_run, "ckpt-8.insr"), "rb").read()
+    header_len = int.from_bytes(raw[8:12], "little")
+    header = json.loads(raw[12 : 12 + header_len])
+    header["config"].update(change)
+    header_b = json.dumps(header).encode()
+    path = tmp_path / "bad.insr"
+    path.write_bytes(raw[:8] + len(header_b).to_bytes(4, "little") + header_b + raw[12 + header_len :])
+    assert main(["eval", "--checkpoint", str(path), "--limit", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(path) in err and "Traceback" not in err, err

@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from insgen import autodiff as ad
 from insgen import checkpoint, training
 from insgen.canvas import Canvas, CanvasSample
+from insgen.config import load_config
 from insgen.decoding import DecodeConfig, decode
 from insgen.losses import LossConfig
 from insgen.model import InsertionModel, ModelConfig
@@ -201,8 +203,9 @@ def _check_sampled_gradients(model, batch):
 
 
 def test_float32_model_computes_in_float32(monkeypatch):
-    # every tape output of a float32 train step (two micro-batches, so the
-    # loss combination runs too) and of decoding stays float32
+    # every tape output of a float32 train step (two micro-batches, one tape
+    # each, with the weighting of each micro-batch loss) and of decoding
+    # stays float32
     tapes = []
 
     class RecordingTape(ad.Tape):
@@ -215,8 +218,9 @@ def test_float32_model_computes_in_float32(monkeypatch):
     batch = make_training_batch(tiny_dataset(), LossConfig(), np.random.default_rng(0), 16)
     loss = train_step(model, batch, OptimizerState.for_model(model), TrainConfig(micro_batch=8))
     assert math.isfinite(loss)
-    (tape,) = tapes
-    assert {n.output.dtype for n in tape.nodes} == {np.dtype(np.float32)}
+    assert len(tapes) == 2
+    for tape in tapes:
+        assert {n.output.dtype for n in tape.nodes} == {np.dtype(np.float32)}
     assert all(p.grad.dtype == np.float32 for p in model.params.values() if p.grad is not None)
 
     x = tiny_dataset()[0][0]
@@ -322,3 +326,66 @@ def test_gradients_nonzero_for_influencing_params():
     tape.backward(loss)
     for name, p in model.params.items():
         assert p.grad is not None and np.abs(p.grad).sum() > 0, name
+
+
+def test_micro_batch_size_does_not_change_the_step():
+    # the loss is a weighted sum of micro-batch means, so its gradient is the
+    # same weighted sum of per-micro-batch gradients, accumulated in p.grad
+    batch = make_training_batch(tiny_dataset(), LossConfig(), np.random.default_rng(6), 32)
+    results = []
+    for micro_batch in (0, 3, 8):
+        model = tiny_model()
+        config = TrainConfig(micro_batch=micro_batch, clip_norm=0.0)
+        loss = train_step(model, batch, OptimizerState.for_model(model), config)
+        results.append((loss, {k: p.grad.copy() for k, p in model.params.items()}))
+    ref_loss, ref_grads = results[0]
+    atol = 1e-12 * max(float(np.abs(g).max()) for g in ref_grads.values())
+    for loss, grads in results[1:]:
+        assert loss == pytest.approx(ref_loss, rel=1e-12)
+        for k, g in grads.items():
+            np.testing.assert_allclose(g, ref_grads[k], rtol=0, atol=atol, err_msg=k)
+
+
+def test_train_step_memory_is_bounded_by_micro_batch():
+    # one micro-batch's tape is alive at a time, so a step's peak memory does
+    # not grow with the batch size
+    cfg = load_config(None, ["task.kind=copy", "task.num_train=256", "task.num_dev=1"])
+    train_set, _ = generate_datasets(cfg.task)
+    model = InsertionModel(cfg.resolved_model(), seed=0)
+    opt_state = OptimizerState.for_model(model)
+    config = TrainConfig(micro_batch=8)
+
+    def step_peak(batch_size: int) -> int:
+        batch = make_training_batch(train_set, cfg.loss, np.random.default_rng(batch_size), batch_size)
+        tracemalloc.start()
+        try:
+            train_step(model, batch, opt_state, config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert step_peak(64) <= 1.5 * step_peak(8)
+
+
+def test_damaged_optimizer_state_raises_checkpoint_error(tmp_path):
+    model = tiny_model(dtype="float32")
+    path = str(tmp_path / "opt.bin")
+    save_optimizer_state(path, OptimizerState.for_model(model))
+    raw = open(path, "rb").read()
+    header_len = int.from_bytes(raw[:4], "little")
+    cuts = [0, 3, 4, 4 + header_len // 2, 4 + header_len, 4 + header_len + 10, len(raw) // 2, len(raw) - 1]
+    for cut in cuts:
+        with open(path, "wb") as f:
+            f.write(raw[:cut])
+        with pytest.raises(checkpoint.CheckpointError, match="opt.bin"):
+            load_optimizer_state(path, model)
+    # a sidecar of another model: same names, other shapes
+    save_optimizer_state(path, OptimizerState.for_model(tiny_model(d_model=8)))
+    with pytest.raises(checkpoint.CheckpointError, match="shape"):
+        load_optimizer_state(path, model)
+    # and one that misses a parameter
+    state = OptimizerState.for_model(model)
+    del state.m["embed"]
+    save_optimizer_state(path, state)
+    with pytest.raises(checkpoint.CheckpointError, match="missing"):
+        load_optimizer_state(path, model)
