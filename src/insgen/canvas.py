@@ -25,10 +25,6 @@ class Canvas:
     def __len__(self) -> int:
         return len(self.tokens)
 
-    @property
-    def num_slots(self) -> int:
-        return len(self.tokens) + 1
-
 
 @dataclass(frozen=True)
 class InsertionAction:
@@ -132,8 +128,3 @@ def splice(sample: CanvasSample, y: TokenSeq) -> TokenSeq:
             out.append(sample.canvas.tokens[l])
     return tuple(out)
 
-
-def is_subsequence(candidate: TokenSeq, reference: TokenSeq) -> bool:
-    """True iff candidate can be obtained by deleting tokens from reference."""
-    it = iter(reference)
-    return all(tok in it for tok in candidate)

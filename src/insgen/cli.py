@@ -12,7 +12,7 @@ import sys
 
 from .canvas import TokenSeq
 from .checkpoint import CheckpointError, load as load_checkpoint
-from .config import ConfigError, load_config, write_effective_config
+from .config import ConfigError, build_section, load_config, write_effective_config
 from .decoding import (
     DecodeConfig,
     TraceFormatError,
@@ -82,22 +82,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _decode_config_from(model: InsertionModel, extra: dict, mode, beta, max_output_length) -> DecodeConfig:
     base = dict(extra.get("decode", {}))
-    base.pop("max_iterations", None)  # re-derived from max_output_length
-    cfg = DecodeConfig(**base) if base else DecodeConfig()
-    if mode is not None:
-        cfg.mode = mode
-    if beta is not None:
-        cfg.eos_penalty = beta
-    if max_output_length is not None:
-        cfg.max_output_length = max_output_length
-        cfg.max_iterations = 2 * max_output_length + 8
-    termination = extra.get("loss", {}).get("termination")
-    if termination:
-        cfg.termination = termination
-    # the decoder sees canvases of up to max_output_length - 1 tokens, plus two markers
+    base.pop("max_iterations", None)  # stored by older checkpoints; the option is gone
+    flags = {
+        "mode": mode,
+        "eos_penalty": beta,
+        "max_output_length": max_output_length,
+        "termination": extra.get("loss", {}).get("termination"),
+    }
+    base.update({key: value for key, value in flags.items() if value is not None})
+    cfg = build_section("decode", DecodeConfig, base)
+    # the decoder scores canvases of up to max_output_length tokens, plus two markers
     n, positions = cfg.max_output_length, model.config.max_positions
-    if n + 1 > positions:
-        raise ConfigError(f"max_output_length {n} needs {n + 1} decoder positions; the model has {positions}")
+    if n + 2 > positions:
+        raise ConfigError(f"max_output_length {n} needs {n + 2} decoder positions; the model has {positions}")
     return cfg
 
 
@@ -171,17 +168,21 @@ def cmd_decode(args) -> int:
     return 0
 
 
-def _sweep_spec(raw: str) -> list[float]:
+def _sweep_configs(raw: str, config: DecodeConfig) -> list[DecodeConfig]:
     try:
         start, stop, step = (float(v) for v in raw.split(":"))
     except ValueError:
         raise ConfigError(f"--sweep-beta expects START:STOP:STEP, got {raw!r}") from None
-    return beta_sweep_values(start, stop, step)
+    try:
+        return [dataclasses.replace(config, eos_penalty=beta) for beta in beta_sweep_values(start, stop, step)]
+    except ValueError as e:
+        raise ConfigError(f"--sweep-beta {raw}: {e}") from None
 
 
 def cmd_eval(args) -> int:
     model, extra, vocab = _load_model(args.checkpoint)
     config = _decode_config_from(model, extra, args.mode, args.beta, None)
+    sweep = _sweep_configs(args.sweep_beta, config) if args.sweep_beta else None
     if args.data is not None:
         dataset, _ = load_corpus(args.data, vocab)
     else:
@@ -196,13 +197,8 @@ def cmd_eval(args) -> int:
     out_dir = args.out_dir or os.path.join(os.path.dirname(os.path.abspath(args.checkpoint)), "eval")
     os.makedirs(out_dir, exist_ok=True)
 
-    if args.sweep_beta:
-        betas = _sweep_spec(args.sweep_beta)
-        rows = []
-        for beta in betas:
-            cfg = dataclasses.replace(config, eos_penalty=beta)
-            report = evaluate(model, dataset, cfg)
-            rows.append((beta, report))
+    if sweep:
+        rows = [(cfg.eos_penalty, evaluate(model, dataset, cfg)) for cfg in sweep]
         best = max(rows, key=lambda r: (r[1].bleu, -r[0]))
         lines = ["beta\tsequence_accuracy\tcorpus_bleu\tmean_output_length\tmean_insertion_iterations\tbest"]
         for beta, report in rows:

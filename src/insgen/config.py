@@ -56,7 +56,7 @@ def _section_fields(cls) -> set[str]:
     return {f.name for f in dataclasses.fields(cls)}
 
 
-def _build_section(name: str, cls, data: dict):
+def build_section(name: str, cls, data: dict):
     unknown = set(data) - _section_fields(cls)
     if unknown:
         raise ConfigError(f"unknown key(s) in [{name}]: {', '.join(sorted(unknown))}")
@@ -75,7 +75,7 @@ def config_from_dict(data: dict) -> RunConfig:
         raw = dict(data.get(name, {}))
         if name == "model":
             raw.setdefault("vocab_size", 0)
-        sections[name] = _build_section(name, cls, raw)
+        sections[name] = build_section(name, cls, raw)
     return RunConfig(**sections)
 
 

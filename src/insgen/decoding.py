@@ -1,18 +1,26 @@
-"""Serial and parallel insertion decoding with trace capture.
+"""Insertion decoding with trace capture: one loop for serial and parallel mode.
 
-Greedy decoding picks the single best (content, location) action per
-iteration. Parallel decoding computes per-slot conditionals, takes each
-slot's best content, drops slots whose best decision is a terminal token,
-and inserts into all remaining slots simultaneously; a length-n output can
-finish in as few as floor(log2 n) + 1 insertion iterations. A step that
-would overrun max_output_length keeps only its best-scoring insertions.
+Each iteration scores the current canvas once and the mode picks the step.
+Greedy (serial) mode takes the single best (content, location) action.
+Parallel mode computes per-slot conditionals, takes each slot's best
+content, drops slots whose best decision is a terminal token, and inserts
+into all remaining slots simultaneously; a length-n output can finish in as
+few as floor(log2 n) + 1 insertion iterations. A serial step is a parallel
+step with one action. A step that would overrun max_output_length keeps only
+its best-scoring insertions.
+
+Decoding stops when a step has no action to apply. There is no iteration
+cap: every iteration but the last inserts at least one token, so the loop
+ends within max_output_length + 1 iterations. An output is `truncated` when the
+policy still wanted to insert into a canvas already max_output_length
+long; that last query leaves no trace step.
 
 A terminal-token penalty (subtracted from terminal log-probs before any
 argmax, never from reported likelihoods) counters premature stopping.
 
 Traces record every iteration: the canvas before, the applied actions with
-their log-probs, and the terminal decision. The all-stopped check is a
-final zero-insertion record, so "insertion iterations" (what iteration
+their log-probs, and (greedy mode) the terminal decision. The stop check is
+a final zero-insertion record, so "insertion iterations" (what iteration
 plots count) excludes it.
 """
 
@@ -24,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canvas import Canvas, InsertionAction, TokenSeq, apply_parallel_insertions, apply_insertion
+from .canvas import Canvas, InsertionAction, TokenSeq, apply_parallel_insertions
+from .canvas import apply_insertion  # noqa: F401  unused here; perfbench/tracer.py wraps this name
 from .model import conditional_log_probs
 from .vocab import TERMINAL_IDS
 
@@ -36,16 +45,15 @@ class DecodeConfig:
     mode: str = "greedy"
     eos_penalty: float = 0.0
     max_output_length: int = 48
-    max_iterations: int | None = None
     termination: str = "slot"  # finalization regime the model was trained for
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown decode mode {self.mode!r}")
-        if self.eos_penalty < 0:
-            raise ValueError("eos_penalty must be nonnegative")
-        if self.max_iterations is None:
-            self.max_iterations = 2 * self.max_output_length + 8
+        if not self.eos_penalty >= 0:  # also rejects NaN
+            raise ValueError(f"eos_penalty must be nonnegative, got {self.eos_penalty}")
+        if self.max_output_length < 1:
+            raise ValueError(f"max_output_length must be at least 1, got {self.max_output_length}")
 
 
 ActionRecord = tuple[int, int, float]  # (content, location, logprob)
@@ -78,13 +86,6 @@ class DecodeTrace:
         return seq
 
 
-class Finish:
-    """Sentinel decision: decoding is complete."""
-
-    def __init__(self, record: ActionRecord | None = None):
-        self.record = record
-
-
 def apply_eos_penalty(logp: np.ndarray, beta: float) -> np.ndarray:
     """Decision scores: log-probs with beta subtracted from terminal tokens."""
     if beta < 0:
@@ -95,12 +96,13 @@ def apply_eos_penalty(logp: np.ndarray, beta: float) -> np.ndarray:
 
 
 def greedy_step(logp: np.ndarray, termination: str, beta: float = 0.0):
-    """Best single action, or Finish.
+    """Best single action as (actions, logps, terminal).
 
     Sequence finalization stops when the global argmax is a terminal token;
     slot finalization restricts the argmax to slots whose own best decision
     is not terminal and stops when none remain. Ties break toward the
-    lowest location, then the lowest token id.
+    lowest location, then the lowest token id. A stop returns no action and
+    the terminal decision's record; otherwise `terminal` is None.
     """
     scores = apply_eos_penalty(logp, beta)
     S1, V = scores.shape
@@ -108,20 +110,19 @@ def greedy_step(logp: np.ndarray, termination: str, beta: float = 0.0):
         flat = int(scores.argmax())  # first max: lowest location, then token id
         l, c = divmod(flat, V)
         if c in TERMINAL_IDS:
-            return Finish((c, l, float(logp[l, c])))
-        return InsertionAction(content=c, location=l), float(logp[l, c])
+            return [], [], (c, l, float(logp[l, c]))
+        return [InsertionAction(content=c, location=l)], [float(logp[l, c])], None
     # slot finalization
     best_tok = scores.argmax(axis=-1)
     active = ~np.isin(best_tok, TERMINAL_IDS)
     if not active.any():
-        l = 0
         c = int(best_tok[0])
-        return Finish((c, l, float(logp[l, c])))
+        return [], [], (c, 0, float(logp[0, c]))
     masked = np.where(active[:, None], scores, -np.inf)
     masked[:, list(TERMINAL_IDS)] = -np.inf
     flat = int(masked.argmax())
     l, c = divmod(flat, V)
-    return InsertionAction(content=c, location=l), float(logp[l, c])
+    return [InsertionAction(content=c, location=l)], [float(logp[l, c])], None
 
 
 def parallel_step(conditionals: np.ndarray, beta: float = 0.0):
@@ -141,36 +142,9 @@ def parallel_step(conditionals: np.ndarray, beta: float = 0.0):
     return actions, logps
 
 
-def greedy_decode(policy, x: TokenSeq, config: DecodeConfig) -> tuple[TokenSeq, DecodeTrace]:
-    """Serial decoding from the empty canvas: one insertion per iteration."""
-    if config.mode != "greedy":
-        raise ValueError("greedy_decode requires mode='greedy'")
-    memory = policy.encode(x)
-    canvas = Canvas()
-    trace = DecodeTrace()
-    for _ in range(config.max_iterations):
-        if len(canvas) >= config.max_output_length:
-            trace.truncated = True
-            break
-        logp = policy.log_probs(memory, canvas)
-        decision = greedy_step(logp, config.termination, config.eos_penalty)
-        if isinstance(decision, Finish):
-            trace.steps.append(TraceStep(canvas.tokens, (), terminal=decision.record))
-            break
-        action, lp = decision
-        trace.steps.append(TraceStep(canvas.tokens, ((action.content, action.location, lp),)))
-        canvas = apply_insertion(canvas, action)
-    else:
-        trace.truncated = True
-    trace.final = canvas
-    return canvas.tokens, trace
-
-
-def parallel_decode(policy, x: TokenSeq, config: DecodeConfig) -> tuple[TokenSeq, DecodeTrace]:
-    """Partially autoregressive decoding: simultaneous insertions every iteration."""
-    if config.mode != "parallel":
-        raise ValueError("parallel_decode requires mode='parallel'")
-    if config.termination == "sequence":
+def decode(policy, x: TokenSeq, config: DecodeConfig) -> tuple[TokenSeq, DecodeTrace]:
+    """Decode from the empty canvas in `config.mode`; returns the output and its trace."""
+    if config.mode == "parallel" and config.termination == "sequence":
         warnings.warn(
             "parallel decoding a sequence-finalization model: treating terminal "
             "predictions as per-slot stops",
@@ -179,31 +153,27 @@ def parallel_decode(policy, x: TokenSeq, config: DecodeConfig) -> tuple[TokenSeq
     memory = policy.encode(x)
     canvas = Canvas()
     trace = DecodeTrace()
-    for _ in range(config.max_iterations):
-        if len(canvas) >= config.max_output_length:
+    while True:
+        logp = policy.log_probs(memory, canvas)
+        if config.mode == "greedy":
+            actions, logps, terminal = greedy_step(logp, config.termination, config.eos_penalty)
+        else:
+            actions, logps = parallel_step(conditional_log_probs(logp), config.eos_penalty)
+            terminal = None
+        room = config.max_output_length - len(canvas)
+        if actions and not room:
             trace.truncated = True
             break
-        joint = policy.log_probs(memory, canvas)
-        conditionals = conditional_log_probs(joint)
-        actions, logps = parallel_step(conditionals, config.eos_penalty)
-        room = config.max_output_length - len(canvas)
         if len(actions) > room:  # keep the best-scoring actions, ties to the lowest location
             keep = sorted(sorted(range(len(actions)), key=lambda i: -logps[i])[:room])
             actions, logps = [actions[i] for i in keep], [logps[i] for i in keep]
         records = tuple((a.content, a.location, lp) for a, lp in zip(actions, logps))
-        trace.steps.append(TraceStep(canvas.tokens, records))
+        trace.steps.append(TraceStep(canvas.tokens, records, terminal))
         if not actions:
             break
         canvas = apply_parallel_insertions(canvas, actions)
-    else:
-        trace.truncated = True
     trace.final = canvas
     return canvas.tokens, trace
-
-
-def decode(policy, x: TokenSeq, config: DecodeConfig) -> tuple[TokenSeq, DecodeTrace]:
-    fn = greedy_decode if config.mode == "greedy" else parallel_decode
-    return fn(policy, x, config)
 
 
 def iteration_lower_bound(n: int) -> int:
@@ -217,6 +187,8 @@ def beta_sweep_values(start: float = 0.0, stop: float = 7.0, step: float = 0.5) 
     """Inclusive penalty grid, by default [0, 7] in steps of 0.5."""
     if step <= 0:
         raise ValueError("sweep step must be positive")
+    if stop < start:
+        raise ValueError("sweep stop must not be below its start")
     count = int(round((stop - start) / step)) + 1
     return [start + i * step for i in range(count)]
 

@@ -182,25 +182,18 @@ def _ngram_counts(seq: TokenSeq, n: int) -> dict[tuple, int]:
     return counts
 
 
-def corpus_bleu(
-    hyps: list[TokenSeq],
-    refs: list[TokenSeq],
-    max_n: int = 4,
-    smoothing: str = "none",
-) -> float:
-    """Corpus-level BLEU in [0, 100]: clipped n-gram precision, brevity penalty.
+def corpus_bleu(hyps: list[TokenSeq], refs: list[TokenSeq]) -> float:
+    """Corpus-level BLEU-4 in [0, 100]: clipped n-gram precision, brevity penalty.
 
-    smoothing="none" (default) gives exactly 0 when any order has no match;
-    smoothing="add1" adds one to each order's numerator and denominator.
+    Unsmoothed: exactly 0 when any order has no match.
     """
     import math
 
+    max_n = 4
     if len(hyps) != len(refs):
         raise ValueError(f"corpus size mismatch: {len(hyps)} hyps vs {len(refs)} refs")
     if not refs:
         raise ValueError("empty corpus")
-    if smoothing not in ("none", "add1"):
-        raise ValueError(f"unknown smoothing {smoothing!r}")
     matches = [0] * max_n
     totals = [0] * max_n
     hyp_len = ref_len = 0
@@ -216,8 +209,6 @@ def corpus_bleu(
         return 0.0
     log_prec = 0.0
     for m, t in zip(matches, totals):
-        if smoothing == "add1":
-            m, t = m + 1, t + 1
         if m == 0 or t == 0:
             return 0.0
         log_prec += math.log(m / t) / max_n

@@ -280,7 +280,6 @@ def train(
     extra_meta: dict | None = None,
     resume_step: int = 0,
     opt_state: OptimizerState | None = None,
-    log_fh=None,
 ) -> tuple[OptimizerState, list[tuple[int, float]]]:
     """Run the optimization loop; returns optimizer state and (step, loss) history.
 
@@ -291,11 +290,10 @@ def train(
     if opt_state is None:
         opt_state = OptimizerState.for_model(model)
     history: list[tuple[int, float]] = []
-    own_fh = None
+    log_fh = None
     if run_dir is not None:
         os.makedirs(run_dir, exist_ok=True)
-        if log_fh is None:
-            own_fh = log_fh = open(os.path.join(run_dir, "metrics.log"), "a", encoding="utf-8")
+        log_fh = open(os.path.join(run_dir, "metrics.log"), "a", encoding="utf-8")
     start = time.monotonic()
 
     def write_checkpoint(step: int) -> None:
@@ -336,6 +334,6 @@ def train(
         if not wrote_final:
             write_checkpoint(config.steps)
     finally:
-        if own_fh is not None:
-            own_fh.close()
+        if log_fh is not None:
+            log_fh.close()
     return opt_state, history

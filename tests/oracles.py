@@ -1,20 +1,26 @@
-"""Hand-scripted decoding policies for mechanics checks and diagnostics.
+"""Independent oracles for decoding tests: hand-scripted policies and a subsequence check.
 
-These bypass the neural model entirely: they expose the same
-encode/log_probs surface the decoders consume, but place their probability
-mass by rule. Useful for verifying that the decode loops reproduce known
-insertion schedules independently of training.
+The policies bypass the neural model entirely: they expose the same
+encode/log_probs surface the decoder consumes, but place their probability
+mass by rule. They verify that the decode loop reproduces known insertion
+schedules independently of training.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .canvas import Canvas, TokenSeq, is_subsequence
-from .vocab import EOS, EOSLOT
+from insgen.canvas import Canvas, TokenSeq
+from insgen.vocab import EOS, EOSLOT
 
 LOW = -30.0
 HIGH = -0.5
+
+
+def is_subsequence(candidate: TokenSeq, reference: TokenSeq) -> bool:
+    """True iff candidate can be obtained by deleting tokens from reference."""
+    it = iter(reference)
+    return all(tok in it for tok in candidate)
 
 
 class ScriptedPolicy:

@@ -15,10 +15,10 @@ import os
 import pytest
 
 from insgen import checkpoint
-from insgen.decoding import DecodeConfig, iteration_lower_bound, parallel_decode
-from insgen.oracles import BalancedTreePolicy
+from insgen.decoding import DecodeConfig, decode, iteration_lower_bound
 from insgen.tasks import TaskSpec, generate_datasets
 from insgen.vocab import NUM_RESERVED
+from oracles import BalancedTreePolicy
 
 DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "data")
 CKPT = os.path.join(DATA, "copy-btree.insr")
@@ -43,7 +43,7 @@ def test_trained_model_parallel_iterations_sit_at_the_log_bound(trained):
         spec = TaskSpec(**{**extra["task"], "min_length": n, "max_length": n, "seed": SEED * 1000 + n,
                            "num_train": 0, "num_dev": 2})
         for x, _ in generate_datasets(spec)[1]:
-            out, trace = parallel_decode(model, x, config)
+            out, trace = decode(model, x, config)
             if not trace.truncated and out:
                 counts.append((len(out), trace.insertion_iterations))
     assert len(counts) >= 60  # at most 4 of the 64 outputs truncated or empty
@@ -67,8 +67,8 @@ def balanced_tree_schedule(n: int) -> list[list[int]]:
 @pytest.mark.parametrize("n", range(1, 65))
 def test_balanced_tree_oracle_schedule_is_exact(n):
     target = tuple(NUM_RESERVED + i for i in range(n))  # distinct tokens: index = token - NUM_RESERVED
-    out, trace = parallel_decode(BalancedTreePolicy(target, vocab_size=NUM_RESERVED + n),
-                                 (0,), DecodeConfig(mode="parallel", max_output_length=128))
+    out, trace = decode(BalancedTreePolicy(target, vocab_size=NUM_RESERVED + n),
+                        (0,), DecodeConfig(mode="parallel", max_output_length=128))
     assert out == target and not trace.truncated
     inserted = [sorted(content - NUM_RESERVED for content, _, _ in s.actions) for s in trace.steps if s.actions]
     assert inserted == balanced_tree_schedule(n)

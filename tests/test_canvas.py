@@ -12,11 +12,11 @@ from insgen.canvas import (
     SlotSpan,
     apply_insertion,
     apply_parallel_insertions,
-    is_subsequence,
     sample_subsequence,
     slot_spans,
     splice,
 )
+from oracles import is_subsequence
 
 # readable ids for the worked examples
 ATE, TOGETHER, FRIENDS, THREE, LUNCH = 10, 11, 12, 13, 14

@@ -152,12 +152,13 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_output_length_past_max_positions_is_rejected(tiny_run, tmp_path, capsys):
-    # the tiny run's model has 64 positions: 63 output tokens fit, 100 do not
+    # the tiny run's model has 64 positions: a full 62-token canvas plus two markers fits, 63 does not
     ckpt = os.path.join(tiny_run, "ckpt-8.insr")
     argv = ["decode", "--checkpoint", ckpt, "--tokens", "w0 w1", "--mode", "parallel"]
-    assert main(argv + ["--max-output-length", "100"]) == 1
-    assert "error:" in capsys.readouterr().err
-    assert main(argv + ["--max-output-length", "63"]) == 0
+    for too_long in ("100", "63"):
+        assert main(argv + ["--max-output-length", too_long]) == 1
+        assert "error:" in capsys.readouterr().err
+    assert main(argv + ["--max-output-length", "62"]) == 0
     # a limit stored in the checkpoint is held to the same bound by eval
     model, extra = checkpoint.load(ckpt)
     extra["decode"]["max_output_length"] = 100
@@ -166,6 +167,25 @@ def test_output_length_past_max_positions_is_rejected(tiny_run, tmp_path, capsys
     capsys.readouterr()
     assert main(["eval", "--checkpoint", stored, "--limit", "2", "--out-dir", str(tmp_path / "eval")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["decode", "--tokens", "w0", "--beta", "-1"], id="decode-negative-beta"),
+        pytest.param(["decode", "--tokens", "w0", "--beta", "nan"], id="decode-nan-beta"),
+        pytest.param(["decode", "--tokens", "w0", "--max-output-length", "-3"], id="decode-negative-length"),
+        pytest.param(["eval", "--limit", "2", "--sweep-beta=-2:1:1"], id="eval-negative-sweep"),
+        pytest.param(["eval", "--limit", "2", "--sweep-beta=3:1:1"], id="eval-empty-sweep"),
+    ],
+)
+def test_bad_decode_flag_is_a_usage_error(tiny_run, tmp_path, capsys, argv):
+    ckpt = os.path.join(tiny_run, "ckpt-8.insr")
+    out_dir = ["--out-dir", str(tmp_path / "eval")] if argv[0] == "eval" else []
+    assert main(argv[:1] + ["--checkpoint", ckpt] + argv[1:] + out_dir) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err, captured.err
+    assert captured.out == ""
 
 
 def test_truncated_checkpoint_is_a_usage_error(tiny_run, tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Decoding mechanics: penalties, greedy/parallel steps, traces, bounds."""
+"""Decoding mechanics: penalties, greedy/parallel steps, the decode loop, traces, bounds."""
 
 import io
 import math
@@ -8,25 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from insgen.canvas import Canvas, InsertionAction, is_subsequence
+from insgen.canvas import Canvas, InsertionAction, apply_parallel_insertions
 from insgen.decoding import (
     DecodeConfig,
     DecodeTrace,
-    Finish,
     TraceFormatError,
     apply_eos_penalty,
     beta_sweep_values,
-    greedy_decode,
+    decode,
     greedy_step,
     iteration_lower_bound,
-    parallel_decode,
     parallel_step,
     read_trace,
     render_trace,
     write_trace,
 )
-from insgen.oracles import BalancedTreePolicy, ScriptedPolicy
 from insgen.vocab import EOS, EOSLOT, NUM_RESERVED
+from oracles import BalancedTreePolicy, ScriptedPolicy, is_subsequence
 
 V = NUM_RESERVED + 10
 ATE, TOGETHER, FRIENDS, THREE, LUNCH = (NUM_RESERVED + i for i in range(5))
@@ -47,11 +45,11 @@ def test_apply_eos_penalty_flips_decision():
     logp[0, EOS] = -1.0
     best_non_terminal = NUM_RESERVED
     logp[0, best_non_terminal] = -1.5
-    assert greedy_step(logp, "sequence", beta=0.0).__class__ is Finish
-    decision = greedy_step(logp, "sequence", beta=1.0)
-    action, lp = decision
-    assert action == InsertionAction(best_non_terminal, 0)
-    assert lp == -1.5  # reported likelihood is unpenalized
+    assert greedy_step(logp, "sequence", beta=0.0) == ([], [], (EOS, 0, -1.0))
+    actions, logps, terminal = greedy_step(logp, "sequence", beta=1.0)
+    assert actions == [InsertionAction(best_non_terminal, 0)]
+    assert logps == [-1.5]  # reported likelihood is unpenalized
+    assert terminal is None
 
 
 @given(st.integers(0, 2**31 - 1), st.floats(0.0, 10.0))
@@ -69,22 +67,24 @@ def test_penalty_never_changes_non_terminal_argmax(seed, beta):
 def test_greedy_step_picks_peak():
     logp = np.full((3, V), -20.0)
     logp[1, NUM_RESERVED + 2] = -0.1
-    action, _ = greedy_step(logp, "sequence")
-    assert action == InsertionAction(NUM_RESERVED + 2, 1)
+    actions, _, _ = greedy_step(logp, "sequence")
+    assert actions == [InsertionAction(NUM_RESERVED + 2, 1)]
 
 
 def test_greedy_step_slot_mode_all_end_of_slot_finishes():
     logp = np.full((3, V), -20.0)
     logp[:, EOSLOT] = -0.1
-    assert isinstance(greedy_step(logp, "slot"), Finish)
+    actions, _, terminal = greedy_step(logp, "slot")
+    assert actions == []
+    assert terminal[:2] == (EOSLOT, 0)
 
 
 def test_greedy_step_slot_mode_ignores_finished_slots():
     logp = np.full((2, V), -20.0)
     logp[0, EOSLOT] = -0.05  # slot 0 wants to stop, with the global max score
     logp[1, NUM_RESERVED + 1] = -0.2
-    action, _ = greedy_step(logp, "slot")
-    assert action == InsertionAction(NUM_RESERVED + 1, 1)
+    actions, _, _ = greedy_step(logp, "slot")
+    assert actions == [InsertionAction(NUM_RESERVED + 1, 1)]
 
 
 def test_greedy_step_tie_breaks_lowest_location_then_token():
@@ -92,8 +92,8 @@ def test_greedy_step_tie_breaks_lowest_location_then_token():
     logp[0, NUM_RESERVED + 3] = -0.1
     logp[0, NUM_RESERVED + 1] = -0.1
     logp[1, NUM_RESERVED] = -0.1
-    action, _ = greedy_step(logp, "sequence")
-    assert action == InsertionAction(NUM_RESERVED + 1, 0)
+    actions, _, _ = greedy_step(logp, "sequence")
+    assert actions == [InsertionAction(NUM_RESERVED + 1, 0)]
 
 
 def fig1_serial_script() -> ScriptedPolicy:
@@ -110,7 +110,7 @@ def fig1_serial_script() -> ScriptedPolicy:
 
 
 def test_greedy_decode_reproduces_serial_worked_example():
-    out, trace = greedy_decode(
+    out, trace = decode(
         fig1_serial_script(), (0,), DecodeConfig(mode="greedy", termination="sequence")
     )
     assert out == FIG1_TARGET
@@ -124,14 +124,14 @@ def test_greedy_decode_reproduces_serial_worked_example():
 
 def test_greedy_decode_immediate_eos():
     policy = ScriptedPolicy({}, vocab_size=V)
-    out, trace = greedy_decode(policy, (0,), DecodeConfig(mode="greedy", termination="sequence"))
+    out, trace = decode(policy, (0,), DecodeConfig(mode="greedy", termination="sequence"))
     assert out == ()
     assert trace.iterations == 1
     assert trace.insertion_iterations == 0
 
 
 def test_trace_canvases_form_subsequence_chain():
-    _, trace = greedy_decode(
+    _, trace = decode(
         fig1_serial_script(), (0,), DecodeConfig(mode="greedy", termination="sequence")
     )
     chain = trace.canvases()
@@ -165,7 +165,7 @@ def test_parallel_step_single_active_slot_matches_greedy():
 
 def test_parallel_decode_fig1_schedule():
     policy = BalancedTreePolicy(FIG1_TARGET, vocab_size=V)
-    out, trace = parallel_decode(policy, (0,), DecodeConfig(mode="parallel"))
+    out, trace = decode(policy, (0,), DecodeConfig(mode="parallel"))
     assert out == FIG1_TARGET
     batches = [tuple(a[:2] for a in s.actions) for s in trace.steps if s.actions]
     assert batches == [
@@ -181,7 +181,7 @@ def test_parallel_decode_fig1_schedule():
 def test_parallel_decode_balanced_tree_on_length7():
     target = tuple(range(NUM_RESERVED, NUM_RESERVED + 7))
     policy = BalancedTreePolicy(target, vocab_size=V)
-    out, trace = parallel_decode(policy, (0,), DecodeConfig(mode="parallel"))
+    out, trace = decode(policy, (0,), DecodeConfig(mode="parallel"))
     assert out == target
     sizes = [len(s.actions) for s in trace.steps if s.actions]
     assert sizes == [1, 2, 4]
@@ -195,7 +195,7 @@ def test_parallel_decode_balanced_tree_on_length7():
 def test_parallel_decode_length1_single_iteration():
     target = (NUM_RESERVED,)
     policy = BalancedTreePolicy(target, vocab_size=V)
-    out, trace = parallel_decode(policy, (0,), DecodeConfig(mode="parallel"))
+    out, trace = decode(policy, (0,), DecodeConfig(mode="parallel"))
     assert out == target
     assert trace.insertion_iterations == 1 == iteration_lower_bound(1)
 
@@ -205,7 +205,7 @@ def test_parallel_decode_length1_single_iteration():
 def test_parallel_tree_hits_lower_bound_for_any_length(n):
     target = tuple((NUM_RESERVED + i % 8) for i in range(n))
     policy = BalancedTreePolicy(target, vocab_size=V)
-    out, trace = parallel_decode(
+    out, trace = decode(
         policy, (0,), DecodeConfig(mode="parallel", max_output_length=64)
     )
     assert out == target
@@ -220,7 +220,7 @@ def test_parallel_decode_holds_max_output_length():
     # the fifth balanced-tree step would grow 15 tokens to 31; it is capped at 20
     target = tuple((NUM_RESERVED + i % 8) for i in range(40))
     policy = BalancedTreePolicy(target, vocab_size=V)
-    out, trace = parallel_decode(policy, (0,), DecodeConfig(mode="parallel", max_output_length=20))
+    out, trace = decode(policy, (0,), DecodeConfig(mode="parallel", max_output_length=20))
     assert len(out) == 20
     assert trace.truncated
     assert is_subsequence(out, target)
@@ -247,8 +247,10 @@ def test_parallel_decode_cap_keeps_best_actions(right_score, expected):
     second = np.zeros((2, V))
     second[0, 8] = 2.0
     second[1, 9] = right_score
-    policy = _TablePolicy({(): first, (7,): second})
-    out, trace = parallel_decode(policy, (0,), DecodeConfig(mode="parallel", max_output_length=2))
+    wants_more = np.zeros((3, V))  # on either full canvas the policy still inserts
+    wants_more[:, 7] = 5.0
+    policy = _TablePolicy({(): first, (7,): second, (7, 9): wants_more, (8, 7): wants_more})
+    out, trace = decode(policy, (0,), DecodeConfig(mode="parallel", max_output_length=2))
     assert out == expected
     assert trace.truncated
 
@@ -256,7 +258,7 @@ def test_parallel_decode_cap_keeps_best_actions(right_score, expected):
 def test_parallel_decode_warns_for_sequence_model():
     policy = BalancedTreePolicy((NUM_RESERVED,), vocab_size=V)
     with pytest.warns(UserWarning, match="sequence-finalization"):
-        parallel_decode(policy, (0,), DecodeConfig(mode="parallel", termination="sequence"))
+        decode(policy, (0,), DecodeConfig(mode="parallel", termination="sequence"))
 
 
 def test_iteration_lower_bound_values():
@@ -277,8 +279,9 @@ def test_iteration_lower_bound_matches_power_table(n):
     assert iteration_lower_bound(n) == k + 1
 
 
-def test_truncation_flag_on_iteration_cap():
-    # a policy that never stops: always insert at slot 0
+@pytest.mark.parametrize("mode", ["greedy", "parallel"])
+def test_truncation_flag_at_length_cap(mode):
+    # a policy that never stops: always insert at slot 0, end every other slot
     class Gusher:
         def encode(self, x):
             return None
@@ -286,13 +289,47 @@ def test_truncation_flag_on_iteration_cap():
         def log_probs(self, memory, canvas):
             logp = np.full((len(canvas) + 1, V), -20.0)
             logp[0, NUM_RESERVED] = -0.1
+            logp[1:, EOSLOT] = -0.1
             return logp
 
-    out, trace = greedy_decode(
-        Gusher(), (0,), DecodeConfig(mode="greedy", termination="sequence", max_output_length=5)
-    )
+    out, trace = decode(Gusher(), (0,), DecodeConfig(mode=mode, max_output_length=5))
     assert trace.truncated
     assert len(out) == 5
+    assert [len(s.canvas_before) for s in trace.steps] == [0, 1, 2, 3, 4]  # no step for the refused query
+
+
+@pytest.mark.parametrize("mode", ["greedy", "parallel"])
+def test_output_exactly_at_length_cap_is_complete(mode):
+    target = tuple(range(NUM_RESERVED, NUM_RESERVED + 64))
+    policy = BalancedTreePolicy(target, vocab_size=NUM_RESERVED + 64)
+    out, trace = decode(policy, (0,), DecodeConfig(mode=mode, max_output_length=64))
+    assert out == target
+    assert not trace.truncated
+    assert trace.steps[-1].actions == ()  # the full canvas was scored once, and the policy stopped
+
+
+def replay_cases(mode):
+    """(policy, target, termination) triples: fig. 1 serially, balanced trees of length 1-40 in parallel."""
+    if mode == "greedy":
+        return [(fig1_serial_script(), FIG1_TARGET, "sequence")]
+    targets = [tuple(NUM_RESERVED + i % 8 for i in range(n)) for n in range(1, 41)]
+    return [(BalancedTreePolicy(t, vocab_size=V), t, "slot") for t in targets]
+
+
+@pytest.mark.parametrize("mode", ["greedy", "parallel"])
+def test_trace_steps_replay_to_the_output(mode):
+    for policy, target, termination in replay_cases(mode):
+        out, trace = decode(policy, (0,), DecodeConfig(mode=mode, termination=termination, max_output_length=64))
+        assert out == target and not trace.truncated
+        after = [Canvas(s.canvas_before) for s in trace.steps[1:]] + [trace.final]
+        for step, canvas_after in zip(trace.steps, after):
+            actions = [InsertionAction(c, l) for c, l, _ in step.actions]
+            assert apply_parallel_insertions(Canvas(step.canvas_before), actions) == canvas_after
+        if mode == "greedy":
+            assert all(len(s.actions) <= 1 for s in trace.steps)
+            assert [s.terminal is not None for s in trace.steps] == [False] * (len(trace.steps) - 1) + [True]
+        else:
+            assert all(s.terminal is None for s in trace.steps)
 
 
 def test_beta_sweep_grid():
@@ -307,15 +344,14 @@ def test_single_step_beta_monotonicity():
     for _ in range(200):
         logp = rng.normal(size=(3, V))
         for beta1, beta2 in [(0.0, 1.0), (1.0, 3.5), (3.5, 7.0)]:
-            d1 = greedy_step(logp, "sequence", beta1)
-            d2 = greedy_step(logp, "sequence", beta2)
-            if not isinstance(d1, Finish):
-                assert not isinstance(d2, Finish)
-                assert d2[0] == d1[0]
+            actions1, _, _ = greedy_step(logp, "sequence", beta1)
+            actions2, _, _ = greedy_step(logp, "sequence", beta2)
+            if actions1:
+                assert actions2 == actions1
 
 
 def test_trace_round_trip():
-    _, trace = greedy_decode(
+    _, trace = decode(
         fig1_serial_script(), (7,), DecodeConfig(mode="greedy", termination="sequence")
     )
     buf = io.StringIO()
@@ -335,7 +371,7 @@ def test_trace_reader_reports_byte_offset():
 
 
 def test_render_trace_fig1_line_count():
-    _, trace = greedy_decode(
+    _, trace = decode(
         fig1_serial_script(), (0,), DecodeConfig(mode="greedy", termination="sequence")
     )
     text = render_trace(trace)

@@ -221,7 +221,6 @@ def test_corpus_bleu_no_overlap_is_zero_unsmoothed():
     hyps2 = [(1, 9, 2, 9, 3)]
     refs2 = [(1, 2, 3, 4, 5)]
     assert corpus_bleu(hyps2, refs2) == 0.0
-    assert corpus_bleu(hyps2, refs2, smoothing="add1") > 0.0
 
 
 def test_corpus_bleu_empty_hypotheses_zero():
