@@ -18,7 +18,7 @@ import dataclasses
 import json
 import os
 import struct
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -38,26 +38,27 @@ def _dump_json(obj) -> bytes:
 
 def save(path: str, model: InsertionModel, extra: dict[str, Any] | None = None) -> None:
     header = {"config": dataclasses.asdict(model.config), "extra": extra or {}}
-    manifest = []
-    blobs = []
-    offset = 0
-    for name, p in model.params.items():
-        raw = np.ascontiguousarray(p.data, dtype="<f4").tobytes()
-        manifest.append({"name": name, "shape": list(p.shape), "offset": offset})
-        blobs.append(raw)
-        offset += len(raw)
+    manifest, blob = pack_arrays((name, p.data) for name, p in model.params.items())
     header_b = _dump_json(header)
     manifest_b = _dump_json(manifest)
+    write_atomic(
+        path,
+        MAGIC,
+        struct.pack("<I", VERSION),
+        struct.pack("<I", len(header_b)),
+        header_b,
+        struct.pack("<I", len(manifest_b)),
+        manifest_b,
+        blob,
+    )
+
+
+def write_atomic(path: str, *chunks: bytes) -> None:
+    """Write the chunks to a temp file, then rename it over path."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<I", len(header_b)))
-        f.write(header_b)
-        f.write(struct.pack("<I", len(manifest_b)))
-        f.write(manifest_b)
-        for raw in blobs:
-            f.write(raw)
+        for chunk in chunks:
+            f.write(chunk)
     os.replace(tmp, path)
 
 
@@ -98,6 +99,17 @@ def load(path: str) -> tuple[InsertionModel, dict[str, Any]]:
     for name, arr in read_arrays(path, manifest, blob, shapes).items():
         model.params[name].data = arr.astype(config.np_dtype)
     return model, extra
+
+
+def pack_arrays(arrays: Iterable[tuple[str, np.ndarray]]) -> tuple[list[dict], bytes]:
+    """A (name, shape, offset) manifest and the float32 blob that read_arrays reads back."""
+    manifest, blobs, offset = [], [], 0
+    for name, arr in arrays:
+        raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+        manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        blobs.append(raw)
+        offset += len(raw)
+    return manifest, b"".join(blobs)
 
 
 def read_arrays(path: str, manifest, blob: bytes, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:

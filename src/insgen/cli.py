@@ -180,6 +180,8 @@ def _sweep_configs(raw: str, config: DecodeConfig) -> list[DecodeConfig]:
 
 
 def cmd_eval(args) -> int:
+    if args.limit is not None and args.limit < 1:
+        raise ConfigError(f"--limit must be at least 1, got {args.limit}")
     model, extra, vocab = _load_model(args.checkpoint)
     config = _decode_config_from(model, extra, args.mode, args.beta, None)
     sweep = _sweep_configs(args.sweep_beta, config) if args.sweep_beta else None
@@ -192,7 +194,7 @@ def cmd_eval(args) -> int:
         from .tasks import TaskSpec
 
         _, dataset = generate_datasets(TaskSpec(**task_info))
-    if args.limit:
+    if args.limit is not None:
         dataset = dataset[: args.limit]
     out_dir = args.out_dir or os.path.join(os.path.dirname(os.path.abspath(args.checkpoint)), "eval")
     os.makedirs(out_dir, exist_ok=True)

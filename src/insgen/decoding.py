@@ -18,10 +18,15 @@ long; that last query leaves no trace step.
 A terminal-token penalty (subtracted from terminal log-probs before any
 argmax, never from reported likelihoods) counters premature stopping.
 
-Traces record every iteration: the canvas before, the applied actions with
-their log-probs, and (greedy mode) the terminal decision. The stop check is
-a final zero-insertion record, so "insertion iterations" (what iteration
-plots count) excludes it.
+Decoding runs on plain values: a canvas is a token tuple and a step
+proposes action records, `(content, location, logprob)` tuples. Reserved
+ids other than the terminal tokens (padding, boundary markers, unknown) are
+never inserted.
+
+Traces record every iteration: the canvas before, the applied records, and
+(greedy mode) the terminal decision's record. The stop check is a final
+zero-insertion record, so "insertion iterations" (what iteration plots
+count) excludes it.
 """
 
 from __future__ import annotations
@@ -32,10 +37,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .canvas import Canvas, InsertionAction, TokenSeq, apply_parallel_insertions
+from .canvas import TokenSeq, apply_parallel_insertions
 from .canvas import apply_insertion  # noqa: F401  unused here; perfbench/tracer.py wraps this name
 from .model import conditional_log_probs
-from .vocab import TERMINAL_IDS
+from .vocab import LEFT_MARK, PAD, RIGHT_MARK, TERMINAL_IDS, UNK
+
+NEVER_INSERTED = (PAD, LEFT_MARK, RIGHT_MARK, UNK)  # reserved ids that are not terminal tokens
 
 MODES = ("greedy", "parallel")
 
@@ -69,7 +76,7 @@ class TraceStep:
 @dataclass
 class DecodeTrace:
     steps: list[TraceStep] = field(default_factory=list)
-    final: Canvas = Canvas()
+    final: TokenSeq = ()
     truncated: bool = False
 
     @property
@@ -79,11 +86,6 @@ class DecodeTrace:
     @property
     def insertion_iterations(self) -> int:
         return sum(1 for s in self.steps if s.actions)
-
-    def canvases(self) -> list[Canvas]:
-        seq = [Canvas(s.canvas_before) for s in self.steps]
-        seq.append(self.final)
-        return seq
 
 
 def apply_eos_penalty(logp: np.ndarray, beta: float) -> np.ndarray:
@@ -95,51 +97,53 @@ def apply_eos_penalty(logp: np.ndarray, beta: float) -> np.ndarray:
     return scores
 
 
+def _decision_scores(logp: np.ndarray, beta: float) -> np.ndarray:
+    """The scores both steps take their argmax of: penalized, and -inf on NEVER_INSERTED."""
+    scores = apply_eos_penalty(logp, beta)
+    scores[..., list(NEVER_INSERTED)] = -np.inf
+    return scores
+
+
 def greedy_step(logp: np.ndarray, termination: str, beta: float = 0.0):
-    """Best single action as (actions, logps, terminal).
+    """Best single action as (records, terminal).
 
     Sequence finalization stops when the global argmax is a terminal token;
     slot finalization restricts the argmax to slots whose own best decision
     is not terminal and stops when none remain. Ties break toward the
-    lowest location, then the lowest token id. A stop returns no action and
+    lowest location, then the lowest token id. A stop returns no record and
     the terminal decision's record; otherwise `terminal` is None.
     """
-    scores = apply_eos_penalty(logp, beta)
+    scores = _decision_scores(logp, beta)
     S1, V = scores.shape
     if termination == "sequence":
         flat = int(scores.argmax())  # first max: lowest location, then token id
         l, c = divmod(flat, V)
         if c in TERMINAL_IDS:
-            return [], [], (c, l, float(logp[l, c]))
-        return [InsertionAction(content=c, location=l)], [float(logp[l, c])], None
+            return [], (c, l, float(logp[l, c]))
+        return [(c, l, float(logp[l, c]))], None
     # slot finalization
     best_tok = scores.argmax(axis=-1)
     active = ~np.isin(best_tok, TERMINAL_IDS)
     if not active.any():
         c = int(best_tok[0])
-        return [], [], (c, 0, float(logp[0, c]))
+        return [], (c, 0, float(logp[0, c]))
     masked = np.where(active[:, None], scores, -np.inf)
     masked[:, list(TERMINAL_IDS)] = -np.inf
     flat = int(masked.argmax())
     l, c = divmod(flat, V)
-    return [InsertionAction(content=c, location=l)], [float(logp[l, c])], None
+    return [(c, l, float(logp[l, c]))], None
 
 
-def parallel_step(conditionals: np.ndarray, beta: float = 0.0):
-    """One action per slot whose penalty-adjusted best content is not terminal.
+def parallel_step(conditionals: np.ndarray, beta: float = 0.0) -> list[ActionRecord]:
+    """One record per slot whose penalty-adjusted best content is not terminal.
 
-    `conditionals` holds per-slot log p(c | l); an empty action list signals
-    that every slot predicted a terminal token.
+    `conditionals` holds per-slot log p(c | l); no records signals that
+    every slot predicted a terminal token.
     """
-    scores = apply_eos_penalty(conditionals, beta)
-    best = scores.argmax(axis=-1)
-    actions: list[InsertionAction] = []
-    logps: list[float] = []
-    for l, c in enumerate(best):
-        if int(c) not in TERMINAL_IDS:
-            actions.append(InsertionAction(content=int(c), location=l))
-            logps.append(float(conditionals[l, c]))
-    return actions, logps
+    best = _decision_scores(conditionals, beta).argmax(axis=-1)
+    return [
+        (int(c), l, float(conditionals[l, c])) for l, c in enumerate(best) if int(c) not in TERMINAL_IDS
+    ]
 
 
 def decode(policy, x: TokenSeq, config: DecodeConfig) -> tuple[TokenSeq, DecodeTrace]:
@@ -151,29 +155,26 @@ def decode(policy, x: TokenSeq, config: DecodeConfig) -> tuple[TokenSeq, DecodeT
             stacklevel=2,
         )
     memory = policy.encode(x)
-    canvas = Canvas()
+    canvas: TokenSeq = ()
     trace = DecodeTrace()
     while True:
         logp = policy.log_probs(memory, canvas)
         if config.mode == "greedy":
-            actions, logps, terminal = greedy_step(logp, config.termination, config.eos_penalty)
+            records, terminal = greedy_step(logp, config.termination, config.eos_penalty)
         else:
-            actions, logps = parallel_step(conditional_log_probs(logp), config.eos_penalty)
-            terminal = None
+            records, terminal = parallel_step(conditional_log_probs(logp), config.eos_penalty), None
         room = config.max_output_length - len(canvas)
-        if actions and not room:
+        if records and not room:
             trace.truncated = True
             break
-        if len(actions) > room:  # keep the best-scoring actions, ties to the lowest location
-            keep = sorted(sorted(range(len(actions)), key=lambda i: -logps[i])[:room])
-            actions, logps = [actions[i] for i in keep], [logps[i] for i in keep]
-        records = tuple((a.content, a.location, lp) for a, lp in zip(actions, logps))
-        trace.steps.append(TraceStep(canvas.tokens, records, terminal))
-        if not actions:
+        if len(records) > room:  # keep the best-scoring records, ties to the lowest location
+            records = sorted(sorted(records, key=lambda r: (-r[2], r[1]))[:room], key=lambda r: r[1])
+        trace.steps.append(TraceStep(canvas, tuple(records), terminal))
+        if not records:
             break
-        canvas = apply_parallel_insertions(canvas, actions)
+        canvas = apply_parallel_insertions(canvas, [(c, l) for c, l, _ in records])
     trace.final = canvas
-    return canvas.tokens, trace
+    return canvas, trace
 
 
 def iteration_lower_bound(n: int) -> int:
@@ -201,7 +202,7 @@ def write_trace(fh, trace: DecodeTrace, source: TokenSeq = (), vocab_tokens=None
         "type": "trace",
         "version": 1,
         "source": list(source),
-        "final": list(trace.final.tokens),
+        "final": list(trace.final),
         "truncated": trace.truncated,
     }
     if vocab_tokens is not None:
@@ -256,7 +257,7 @@ def read_trace(fh) -> tuple[DecodeTrace, dict]:
             raise TraceFormatError(f"bad trace record: {e}", offset) from None
         offset += len(line.encode() if isinstance(line, str) else line)
     trace = DecodeTrace(
-        steps=steps, final=Canvas(tuple(header["final"])), truncated=bool(header["truncated"])
+        steps=steps, final=tuple(header["final"]), truncated=bool(header["truncated"])
     )
     return trace, header
 
@@ -275,16 +276,13 @@ def render_trace(trace: DecodeTrace, meta: dict | None = None) -> str:
         f"final_length={len(trace.final)} truncated={trace.truncated}"
     ]
     for t, step in enumerate(trace.steps):
-        after = apply_parallel_insertions(
-            Canvas(step.canvas_before),
-            [InsertionAction(c, l) for c, l, _ in step.actions],
-        )
+        after = apply_parallel_insertions(step.canvas_before, [(c, l) for c, l, _ in step.actions])
         new_positions = set()
         for rank, (_, l, _) in enumerate(sorted(step.actions, key=lambda a: a[1])):
             new_positions.add(l + rank)
         shown = [
             f"*{tok(token)}*" if p in new_positions else tok(token)
-            for p, token in enumerate(after.tokens)
+            for p, token in enumerate(after)
         ]
         line = f"t={t}: " + (" ".join(shown) if shown else "(empty)")
         if step.terminal is not None:

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .canvas import CanvasSample, SlotSpan, TokenSeq, slot_spans
+from .canvas import TokenSeq, slot_spans
 from .vocab import EOS, EOSLOT
 
 ORDERS = ("left_to_right", "binary_tree", "uniform")
@@ -59,46 +59,46 @@ class SlotTarget:
 
     location: int
     kind: str  # "span" | "end_of_slot" | "end_of_sequence"
-    span: SlotSpan | None = None
+    span: range | None = None  # the target indices of a "span" target
     weights: tuple[float, ...] = (1.0,)
 
     def token_ids(self, y: TokenSeq) -> tuple[int, ...]:
         if self.kind == "span":
-            return tuple(y[self.span.first : self.span.last + 1])
+            return y[self.span.start : self.span.stop]
         return (EOSLOT,) if self.kind == "end_of_slot" else (EOS,)
 
 
-def span_center_distance(span: SlotSpan, i: int) -> float:
+def span_center_distance(span: range, i: int) -> float:
     """Distance of index i from the span center, in real arithmetic."""
-    if not span.first <= i <= span.last:
-        raise ValueError(f"index {i} outside span [{span.first}, {span.last}]")
-    return abs((span.first + span.last) / 2.0 - i)
+    if i not in span:
+        raise ValueError(f"index {i} outside span {span}")
+    return abs((span[0] + span[-1]) / 2.0 - i)
 
 
-def slot_weights(span: SlotSpan, tau: float) -> np.ndarray:
+def slot_weights(span: range, tau: float) -> np.ndarray:
     """Softmax weighting exp(-d/tau), normalized over the span.
 
     tau -> 0 concentrates on the centermost token(s); tau -> inf tends to
     uniform. Computed with max-subtraction so tiny temperatures stay finite.
     """
-    if span.empty:
+    if not span:
         raise ValueError("slot_weights needs a nonempty span")
     if not tau > 0:
         raise ValueError("temperature must be positive")
-    d = np.array([span_center_distance(span, i) for i in range(span.first, span.last + 1)])
+    d = np.array([span_center_distance(span, i) for i in span])
     z = -d / tau
     z -= z.max()
     e = np.exp(z)
     return e / e.sum()
 
 
-def build_slot_targets(y: TokenSeq, sample: CanvasSample, config: LossConfig) -> list[SlotTarget]:
-    """Per-slot supervision for one sampled canvas under the configured loss."""
-    spans = slot_spans(y, sample)
-    complete = all(s.empty for s in spans)
+def build_slot_targets(y: TokenSeq, kept: tuple[int, ...], config: LossConfig) -> list[SlotTarget]:
+    """Per-slot supervision for the canvas that the kept indices of y induce."""
+    spans = slot_spans(y, kept)
+    complete = not any(spans)
     targets: list[SlotTarget] = []
     for l, span in enumerate(spans):
-        if span.empty:
+        if not span:
             if config.termination == "slot":
                 targets.append(SlotTarget(location=l, kind="end_of_slot"))
             elif complete:
@@ -118,7 +118,7 @@ def left_to_right_targets(y: TokenSeq, k: int) -> list[SlotTarget]:
         raise ValueError(f"prefix length {k} outside [0, {len(y)}]")
     if k == len(y):
         return [SlotTarget(location=k, kind="end_of_sequence")]
-    return [SlotTarget(location=k, kind="span", span=SlotSpan(k, k), weights=(1.0,))]
+    return [SlotTarget(location=k, kind="span", span=range(k, k + 1), weights=(1.0,))]
 
 
 def weighted_nll(logp: Tensor, ys: Sequence[TokenSeq], targets: Sequence[list[SlotTarget]]) -> Tensor:

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .canvas import Canvas, TokenSeq
+from .canvas import TokenSeq
 from .vocab import LEFT_MARK, PAD, RIGHT_MARK
 
 NEG_INF = -1e9  # additive mask value; safe in float32
@@ -134,9 +134,6 @@ class InsertionModel:
                 self._add_param(f"out.mos{k}.w", self._glorot(rng, h, h))
                 self._add_param(f"out.mos{k}.b", np.zeros(h))
             self._add_param("out.mos_prior", self._glorot(rng, h, cfg.mos_components))
-
-    def num_params(self) -> int:
-        return sum(p.size for p in self.params.values())
 
     def zero_grads(self) -> None:
         for p in self.params.values():
@@ -293,10 +290,10 @@ class InsertionModel:
         memory, mask = self.encode_batch(src, np.array([len(x)]))
         return memory, mask
 
-    def log_probs(self, memory, canvas: Canvas) -> np.ndarray:
+    def log_probs(self, memory, canvas: TokenSeq) -> np.ndarray:
         """Joint log p(c, l) for one canvas: ndarray (T+1, vocab)."""
         mem, src_mask = memory
-        ids = np.asarray([list(canvas.tokens)], dtype=np.int64).reshape(1, len(canvas))
+        ids = np.asarray([canvas], dtype=np.int64).reshape(1, len(canvas))
         H, slot_mask = self.slot_matrix_batch(mem, src_mask, ids, np.array([len(canvas)]))
         return self.joint_log_probs_batch(H, slot_mask).data[0]
 

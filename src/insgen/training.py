@@ -162,9 +162,9 @@ def make_training_batch(
                 k = int(rng.integers(0, len(y) + 1))
                 items.append(BatchItem(x, y, tuple(y[:k]), left_to_right_targets(y, k)))
             else:
-                sample = sample_subsequence(y, rng)
-                targets = build_slot_targets(y, sample, loss_config)
-                items.append(BatchItem(x, y, sample.canvas.tokens, targets))
+                kept = sample_subsequence(y, rng)
+                targets = build_slot_targets(y, kept, loss_config)
+                items.append(BatchItem(x, y, tuple(y[i] for i in kept), targets))
     return items
 
 
@@ -226,23 +226,13 @@ def _length_buckets(batch: list[BatchItem], micro_batch: int) -> list[list[Batch
 
 
 def save_optimizer_state(path: str, state: OptimizerState) -> None:
-    manifest = []
-    blobs = []
-    offset = 0
-    for group, arrays in (("m", state.m), ("v", state.v)):
-        for name, arr in arrays.items():
-            raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
-            manifest.append({"name": f"{group}.{name}", "shape": list(arr.shape), "offset": offset})
-            blobs.append(raw)
-            offset += len(raw)
+    manifest, blob = ckpt.pack_arrays(
+        (f"{group}.{name}", arr)
+        for group, arrays in (("m", state.m), ("v", state.v))
+        for name, arr in arrays.items()
+    )
     payload = json.dumps({"step": state.step, "manifest": manifest}).encode()
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(len(payload).to_bytes(4, "little"))
-        f.write(payload)
-        for raw in blobs:
-            f.write(raw)
-    os.replace(tmp, path)
+    ckpt.write_atomic(path, len(payload).to_bytes(4, "little"), payload, blob)
 
 
 def load_optimizer_state(path: str, model: InsertionModel) -> OptimizerState:

@@ -49,9 +49,6 @@ class Vocab:
             raise KeyError(f"token {token!r} not in vocabulary")
         return i
 
-    def token_of(self, i: int) -> str:
-        return self.tokens[i]
-
     def encode(self, text: str, allow_unk: bool = False) -> tuple[int, ...]:
         return tuple(self.id_of(t, allow_unk=allow_unk) for t in text.split())
 

@@ -47,7 +47,7 @@ def numpy_item_loss(logp: np.ndarray, y, targets) -> float:
     per_slot = []
     for t in targets:
         if t.kind == "span":
-            tokens = y[t.span.first : t.span.last + 1]
+            tokens = [y[i] for i in t.span]
         else:
             tokens = (EOSLOT,) if t.kind == "end_of_slot" else (EOS,)
         per_slot.append(-sum(w * logp[t.location, c] for c, w in zip(tokens, t.weights)))

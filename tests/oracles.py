@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from insgen.canvas import Canvas, TokenSeq
+from insgen.canvas import TokenSeq
 from insgen.vocab import EOS, EOSLOT
 
 LOW = -30.0
@@ -36,9 +36,9 @@ class ScriptedPolicy:
     def encode(self, x: TokenSeq):
         return None
 
-    def log_probs(self, memory, canvas: Canvas) -> np.ndarray:
+    def log_probs(self, memory, canvas: TokenSeq) -> np.ndarray:
         logp = np.full((len(canvas) + 1, self.vocab_size), LOW)
-        actions = self.script.get(canvas.tokens)
+        actions = self.script.get(canvas)
         if actions is None:
             logp[len(canvas), EOS] = HIGH
         else:
@@ -81,14 +81,14 @@ class BalancedTreePolicy:
     def encode(self, x: TokenSeq):
         return None
 
-    def log_probs(self, memory, canvas: Canvas) -> np.ndarray:
+    def log_probs(self, memory, canvas: TokenSeq) -> np.ndarray:
         logp = np.full((len(canvas) + 1, self.vocab_size), LOW)
-        if not is_subsequence(canvas.tokens, self.target):
+        if not is_subsequence(canvas, self.target):
             logp[:, EOSLOT] = HIGH
             return logp
-        kept = self._schedule.get(canvas.tokens)
+        kept = self._schedule.get(canvas)
         if kept is None:
-            kept = self._align(canvas.tokens)
+            kept = self._align(canvas)
         bounds = (-1,) + tuple(kept) + (len(self.target),)
         for slot in range(len(canvas) + 1):
             first, last = bounds[slot] + 1, bounds[slot + 1] - 1

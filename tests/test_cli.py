@@ -188,6 +188,16 @@ def test_bad_decode_flag_is_a_usage_error(tiny_run, tmp_path, capsys, argv):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("limit", ["0", "-2"])
+def test_eval_limit_below_one_is_a_usage_error(tiny_run, tmp_path, capsys, limit):
+    ckpt = os.path.join(tiny_run, "ckpt-8.insr")
+    assert main(["eval", "--checkpoint", ckpt, "--limit", limit, "--out-dir", str(tmp_path / "eval")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "--limit" in captured.err, captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not os.path.exists(tmp_path / "eval")
+
+
 def test_truncated_checkpoint_is_a_usage_error(tiny_run, tmp_path, capsys):
     raw = open(os.path.join(tiny_run, "ckpt-8.insr"), "rb").read()
     header_len = int.from_bytes(raw[8:12], "little")

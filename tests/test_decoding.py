@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from insgen.canvas import Canvas, InsertionAction, apply_parallel_insertions
+from insgen.canvas import apply_parallel_insertions
 from insgen.decoding import (
     DecodeConfig,
     DecodeTrace,
@@ -45,11 +45,9 @@ def test_apply_eos_penalty_flips_decision():
     logp[0, EOS] = -1.0
     best_non_terminal = NUM_RESERVED
     logp[0, best_non_terminal] = -1.5
-    assert greedy_step(logp, "sequence", beta=0.0) == ([], [], (EOS, 0, -1.0))
-    actions, logps, terminal = greedy_step(logp, "sequence", beta=1.0)
-    assert actions == [InsertionAction(best_non_terminal, 0)]
-    assert logps == [-1.5]  # reported likelihood is unpenalized
-    assert terminal is None
+    assert greedy_step(logp, "sequence", beta=0.0) == ([], (EOS, 0, -1.0))
+    # the reported likelihood is unpenalized
+    assert greedy_step(logp, "sequence", beta=1.0) == ([(best_non_terminal, 0, -1.5)], None)
 
 
 @given(st.integers(0, 2**31 - 1), st.floats(0.0, 10.0))
@@ -67,15 +65,15 @@ def test_penalty_never_changes_non_terminal_argmax(seed, beta):
 def test_greedy_step_picks_peak():
     logp = np.full((3, V), -20.0)
     logp[1, NUM_RESERVED + 2] = -0.1
-    actions, _, _ = greedy_step(logp, "sequence")
-    assert actions == [InsertionAction(NUM_RESERVED + 2, 1)]
+    records, _ = greedy_step(logp, "sequence")
+    assert records == [(NUM_RESERVED + 2, 1, -0.1)]
 
 
 def test_greedy_step_slot_mode_all_end_of_slot_finishes():
     logp = np.full((3, V), -20.0)
     logp[:, EOSLOT] = -0.1
-    actions, _, terminal = greedy_step(logp, "slot")
-    assert actions == []
+    records, terminal = greedy_step(logp, "slot")
+    assert records == []
     assert terminal[:2] == (EOSLOT, 0)
 
 
@@ -83,8 +81,8 @@ def test_greedy_step_slot_mode_ignores_finished_slots():
     logp = np.full((2, V), -20.0)
     logp[0, EOSLOT] = -0.05  # slot 0 wants to stop, with the global max score
     logp[1, NUM_RESERVED + 1] = -0.2
-    actions, _, _ = greedy_step(logp, "slot")
-    assert actions == [InsertionAction(NUM_RESERVED + 1, 1)]
+    records, _ = greedy_step(logp, "slot")
+    assert records == [(NUM_RESERVED + 1, 1, -0.2)]
 
 
 def test_greedy_step_tie_breaks_lowest_location_then_token():
@@ -92,8 +90,35 @@ def test_greedy_step_tie_breaks_lowest_location_then_token():
     logp[0, NUM_RESERVED + 3] = -0.1
     logp[0, NUM_RESERVED + 1] = -0.1
     logp[1, NUM_RESERVED] = -0.1
-    actions, _, _ = greedy_step(logp, "sequence")
-    assert actions == [InsertionAction(NUM_RESERVED + 1, 0)]
+    records, _ = greedy_step(logp, "sequence")
+    assert records == [(NUM_RESERVED + 1, 0, -0.1)]
+
+
+def flat_logp(slots: int) -> np.ndarray:
+    """Equal scores on every non-terminal id, lower ones on the terminals: the first max is <pad>."""
+    logp = np.zeros((slots, V))
+    logp[:, [EOS, EOSLOT]] = -1.0
+    return logp
+
+
+def test_flat_slot_never_inserts_a_reserved_id():
+    assert parallel_step(flat_logp(2)) == [(NUM_RESERVED, 0, 0.0), (NUM_RESERVED, 1, 0.0)]
+    # with <pad> out of the running, a row flat over every id ties to the lowest terminal id
+    assert parallel_step(np.zeros((2, V))) == []
+    for termination in ("sequence", "slot"):
+        assert greedy_step(flat_logp(2), termination) == ([(NUM_RESERVED, 0, 0.0)], None)
+        assert greedy_step(np.zeros((2, V)), termination)[0] == []
+
+    class Flat:
+        def encode(self, x):
+            return None
+
+        def log_probs(self, memory, canvas):
+            return flat_logp(len(canvas) + 1)
+
+    for mode, termination in (("greedy", "sequence"), ("greedy", "slot"), ("parallel", "slot")):
+        config = DecodeConfig(mode=mode, termination=termination, max_output_length=6)
+        assert decode(Flat(), (0,), config)[0] == (NUM_RESERVED,) * 6, (mode, termination)
 
 
 def fig1_serial_script() -> ScriptedPolicy:
@@ -134,33 +159,29 @@ def test_trace_canvases_form_subsequence_chain():
     _, trace = decode(
         fig1_serial_script(), (0,), DecodeConfig(mode="greedy", termination="sequence")
     )
-    chain = trace.canvases()
+    chain = [s.canvas_before for s in trace.steps] + [trace.final]
     for a, b in zip(chain, chain[1:]):
-        assert is_subsequence(a.tokens, b.tokens)
+        assert is_subsequence(a, b)
 
 
 def test_parallel_step_inserts_every_active_slot():
     cond = np.full((2, V), -20.0)
     cond[0, FRIENDS] = -0.1
     cond[1, TOGETHER] = -0.2
-    actions, logps = parallel_step(cond)
-    assert actions == [InsertionAction(FRIENDS, 0), InsertionAction(TOGETHER, 1)]
-    assert logps == [-0.1, -0.2]
+    assert parallel_step(cond) == [(FRIENDS, 0, -0.1), (TOGETHER, 1, -0.2)]
 
 
 def test_parallel_step_all_terminal_stops():
     cond = np.full((3, V), -20.0)
     cond[:, EOSLOT] = -0.1
-    actions, _ = parallel_step(cond)
-    assert actions == []
+    assert parallel_step(cond) == []
 
 
 def test_parallel_step_single_active_slot_matches_greedy():
     cond = np.full((2, V), -20.0)
     cond[0, EOSLOT] = -0.1
     cond[1, LUNCH] = -0.3
-    actions, _ = parallel_step(cond)
-    assert actions == [InsertionAction(LUNCH, 1)]
+    assert parallel_step(cond) == [(LUNCH, 1, -0.3)]
 
 
 def test_parallel_decode_fig1_schedule():
@@ -210,9 +231,9 @@ def test_parallel_tree_hits_lower_bound_for_any_length(n):
     )
     assert out == target
     assert trace.insertion_iterations == iteration_lower_bound(n)
-    chain = trace.canvases()
+    chain = [s.canvas_before for s in trace.steps] + [trace.final]
     for a, b in zip(chain, chain[1:]):
-        assert is_subsequence(a.tokens, b.tokens)
+        assert is_subsequence(a, b)
         assert len(b) - len(a) <= len(a) + 1  # at most one insertion per slot
 
 
@@ -236,7 +257,7 @@ class _TablePolicy:
         return None
 
     def log_probs(self, memory, canvas):
-        return self.table[canvas.tokens]
+        return self.table[canvas]
 
 
 @pytest.mark.parametrize("right_score, expected", [(3.0, (7, 9)), (2.0, (8, 7))], ids=["best", "tie"])
@@ -321,10 +342,10 @@ def test_trace_steps_replay_to_the_output(mode):
     for policy, target, termination in replay_cases(mode):
         out, trace = decode(policy, (0,), DecodeConfig(mode=mode, termination=termination, max_output_length=64))
         assert out == target and not trace.truncated
-        after = [Canvas(s.canvas_before) for s in trace.steps[1:]] + [trace.final]
+        after = [s.canvas_before for s in trace.steps[1:]] + [trace.final]
         for step, canvas_after in zip(trace.steps, after):
-            actions = [InsertionAction(c, l) for c, l, _ in step.actions]
-            assert apply_parallel_insertions(Canvas(step.canvas_before), actions) == canvas_after
+            actions = [(c, l) for c, l, _ in step.actions]
+            assert apply_parallel_insertions(step.canvas_before, actions) == canvas_after
         if mode == "greedy":
             assert all(len(s.actions) <= 1 for s in trace.steps)
             assert [s.terminal is not None for s in trace.steps] == [False] * (len(trace.steps) - 1) + [True]
@@ -344,10 +365,10 @@ def test_single_step_beta_monotonicity():
     for _ in range(200):
         logp = rng.normal(size=(3, V))
         for beta1, beta2 in [(0.0, 1.0), (1.0, 3.5), (3.5, 7.0)]:
-            actions1, _, _ = greedy_step(logp, "sequence", beta1)
-            actions2, _, _ = greedy_step(logp, "sequence", beta2)
-            if actions1:
-                assert actions2 == actions1
+            records1, _ = greedy_step(logp, "sequence", beta1)
+            records2, _ = greedy_step(logp, "sequence", beta2)
+            if records1:
+                assert records2 == records1
 
 
 def test_trace_round_trip():

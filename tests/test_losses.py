@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from insgen import autodiff as ad
-from insgen.canvas import Canvas, CanvasSample, SlotSpan, sample_subsequence, slot_spans
+from insgen.canvas import sample_subsequence, slot_spans
 from insgen.losses import (
     LossConfig,
     SlotTarget,
@@ -34,37 +34,37 @@ def test_loss_config_validation():
 
 
 def test_span_center_distance_odd_span():
-    span = SlotSpan(4, 6)
+    span = range(4, 7)
     assert span_center_distance(span, 4) == 1.0
     assert span_center_distance(span, 5) == 0.0
     assert span_center_distance(span, 6) == 1.0
 
 
 def test_span_center_distance_even_tie_and_singleton():
-    assert span_center_distance(SlotSpan(2, 3), 2) == 0.5
-    assert span_center_distance(SlotSpan(2, 3), 3) == 0.5
-    assert span_center_distance(SlotSpan(5, 5), 5) == 0.0
+    assert span_center_distance(range(2, 4), 2) == 0.5
+    assert span_center_distance(range(2, 4), 3) == 0.5
+    assert span_center_distance(range(5, 6), 5) == 0.0
     with pytest.raises(ValueError):
-        span_center_distance(SlotSpan(2, 3), 4)
+        span_center_distance(range(2, 4), 4)
 
 
 def test_slot_weights_length3_hand_value():
-    w = slot_weights(SlotSpan(0, 2), tau=1.0)
+    w = slot_weights(range(0, 3), tau=1.0)
     np.testing.assert_allclose(w, [0.21194, 0.57612, 0.21194], atol=1e-5)
     assert abs(w.sum() - 1.0) < 1e-9
 
 
 def test_slot_weights_singleton_and_uniform_limit():
-    np.testing.assert_array_equal(slot_weights(SlotSpan(3, 3), 1.0), [1.0])
-    w = slot_weights(SlotSpan(0, 4), tau=1e9)
+    np.testing.assert_array_equal(slot_weights(range(3, 4), 1.0), [1.0])
+    w = slot_weights(range(0, 5), tau=1e9)
     np.testing.assert_allclose(w, 0.2, atol=1e-6)
 
 
 def test_slot_weights_tiny_temperature_concentrates():
-    w = slot_weights(SlotSpan(0, 4), tau=1e-9)
+    w = slot_weights(range(0, 5), tau=1e-9)
     np.testing.assert_allclose(w, [0, 0, 1.0, 0, 0], atol=1e-12)
     # even length: mass splits over the two centermost
-    w = slot_weights(SlotSpan(0, 3), tau=1e-9)
+    w = slot_weights(range(0, 4), tau=1e-9)
     np.testing.assert_allclose(w, [0, 0.5, 0.5, 0], atol=1e-12)
 
 
@@ -75,24 +75,24 @@ def test_slot_weights_tiny_temperature_concentrates():
     st.floats(0.05, 100.0),
 )
 def test_slot_weights_properties(first, length, tau):
-    span = SlotSpan(first, first + length - 1)
+    span = range(first, first + length)
     w = slot_weights(span, tau)
     assert abs(w.sum() - 1.0) < 1e-9
     np.testing.assert_allclose(w, w[::-1], atol=1e-12)  # symmetric span -> symmetric weights
-    d = np.array([span_center_distance(span, i) for i in range(span.first, span.last + 1)])
+    d = np.array([span_center_distance(span, i) for i in span])
     order = np.argsort(d, kind="stable")
     assert np.all(np.diff(w[order]) <= 1e-12)  # nonincreasing in distance
 
 
 def test_center_weight_sharpens_as_tau_decreases():
-    span = SlotSpan(0, 6)
+    span = range(0, 7)
     centers = [slot_weights(span, tau)[3] for tau in (4.0, 2.0, 1.0, 0.5, 0.25)]
     assert all(b > a for a, b in zip(centers, centers[1:]))
 
 
 def test_slot_weights_rejects_empty_span():
     with pytest.raises(ValueError):
-        slot_weights(SlotSpan(3, 2), 1.0)
+        slot_weights(range(3, 3), 1.0)
 
 
 def _logp_grid(vocab: int, slots: int, rng) -> np.ndarray:
@@ -108,7 +108,7 @@ def _item_loss(logp: np.ndarray, y, targets) -> float:
     return weighted_nll(ad.tensor(logp[None]), [y], [targets]).item()
 
 
-def _span_target(span: SlotSpan, location: int, weights) -> SlotTarget:
+def _span_target(span: range, location: int, weights) -> SlotTarget:
     return SlotTarget(location=location, kind="span", span=span, weights=tuple(weights))
 
 
@@ -118,7 +118,7 @@ def test_binary_tree_slot_loss_half_probability():
     y = (NUM_RESERVED, NUM_RESERVED + 1)
     logp[1, y[0]] = math.log(0.5)
     logp[1, y[1]] = math.log(0.5)
-    span = SlotSpan(0, 1)
+    span = range(0, 2)
     loss = _item_loss(logp, y, [_span_target(span, 1, slot_weights(span, 1.0))])
     assert abs(loss - math.log(2)) < 1e-12
 
@@ -126,7 +126,7 @@ def test_binary_tree_slot_loss_half_probability():
 def test_binary_tree_slot_loss_singleton():
     logp = np.full((1, NUM_RESERVED + 2), math.log(0.1))
     y = (NUM_RESERVED,)
-    span = SlotSpan(0, 0)
+    span = range(0, 1)
     loss = _item_loss(logp, y, [_span_target(span, 0, slot_weights(span, 0.7))])
     assert abs(loss + math.log(0.1)) < 1e-12
 
@@ -136,10 +136,10 @@ def test_uniform_slot_loss_hand_values():
     logp = np.full((1, NUM_RESERVED + 3), math.log(0.25))
     y = (NUM_RESERVED, NUM_RESERVED + 1)
     config = LossConfig(order="uniform", termination="slot")
-    targets = build_slot_targets(y, CanvasSample(kept_indices=(), canvas=Canvas()), config)
+    targets = build_slot_targets(y, (), config)
     assert targets[0].weights == (0.5, 0.5)
     assert abs(_item_loss(logp, y, targets) - math.log(4)) < 1e-12
-    single = build_slot_targets(y[1:], CanvasSample(kept_indices=(), canvas=Canvas()), config)
+    single = build_slot_targets(y[1:], (), config)
     assert abs(_item_loss(logp, y[1:], single) + math.log(0.25)) < 1e-12
 
 
@@ -155,7 +155,7 @@ def test_binary_tree_limit_equals_uniform_500_random_instances():
         last = int(rng.integers(first, n))
         location = int(rng.integers(0, slots))
         logp = _logp_grid(vocab, slots, rng)
-        span = SlotSpan(first, last)
+        span = range(first, last + 1)
         bt = _item_loss(logp, y, [_span_target(span, location, slot_weights(span, 1e9))])
         uni = -float(np.mean(logp[location, list(y[first : last + 1])]))
         assert abs(bt - uni) < 1e-6
@@ -181,46 +181,46 @@ def test_full_loss_rejects_empty():
 
 def test_build_slot_targets_complete_canvas_both_modes():
     y = (7, 8, 9)
-    sample = CanvasSample(kept_indices=(0, 1, 2), canvas=Canvas(y))
-    slot_mode = build_slot_targets(y, sample, LossConfig(order="uniform", termination="slot"))
+    kept = (0, 1, 2)
+    slot_mode = build_slot_targets(y, kept, LossConfig(order="uniform", termination="slot"))
     assert [t.kind for t in slot_mode] == ["end_of_slot"] * 4
     assert [t.location for t in slot_mode] == [0, 1, 2, 3]
-    seq_mode = build_slot_targets(y, sample, LossConfig(order="uniform", termination="sequence"))
+    seq_mode = build_slot_targets(y, kept, LossConfig(order="uniform", termination="sequence"))
     assert [t.kind for t in seq_mode] == ["end_of_sequence"] * 4
 
 
 def test_build_slot_targets_empty_canvas_single_span():
     y = (7, 8, 9)
-    sample = CanvasSample(kept_indices=(), canvas=Canvas())
+    kept = ()
     for term in ("slot", "sequence"):
-        targets = build_slot_targets(y, sample, LossConfig(order="binary_tree", termination=term))
+        targets = build_slot_targets(y, kept, LossConfig(order="binary_tree", termination=term))
         assert len(targets) == 1
-        assert targets[0].kind == "span" and targets[0].span == SlotSpan(0, 2)
+        assert targets[0].kind == "span" and targets[0].span == range(0, 3)
 
 
 def test_build_slot_targets_mixed_spans_slot_mode():
     y = (7, 8, 9, 10)
-    sample = CanvasSample(kept_indices=(1, 2), canvas=Canvas((8, 9)))
-    targets = build_slot_targets(y, sample, LossConfig(order="uniform", termination="slot"))
+    kept = (1, 2)
+    targets = build_slot_targets(y, kept, LossConfig(order="uniform", termination="slot"))
     assert [(t.location, t.kind) for t in targets] == [
         (0, "span"),
         (1, "end_of_slot"),
         (2, "span"),
     ]
-    assert targets[0].span == SlotSpan(0, 0)
-    assert targets[2].span == SlotSpan(3, 3)
+    assert targets[0].span == range(0, 1)
+    assert targets[2].span == range(3, 4)
 
 
 def test_build_slot_targets_sequence_mode_drops_empty():
     y = (7, 8, 9, 10)
-    sample = CanvasSample(kept_indices=(1, 2), canvas=Canvas((8, 9)))
-    targets = build_slot_targets(y, sample, LossConfig(order="uniform", termination="sequence"))
+    kept = (1, 2)
+    targets = build_slot_targets(y, kept, LossConfig(order="uniform", termination="sequence"))
     assert [(t.location, t.kind) for t in targets] == [(0, "span"), (2, "span")]
 
 
 def test_target_token_ids():
     y = (7, 8, 9)
-    assert SlotTarget(0, "span", SlotSpan(1, 2)).token_ids(y) == (8, 9)
+    assert SlotTarget(0, "span", range(1, 3)).token_ids(y) == (8, 9)
     assert SlotTarget(0, "end_of_slot").token_ids(y) == (EOSLOT,)
     assert SlotTarget(0, "end_of_sequence").token_ids(y) == (EOS,)
 
@@ -229,7 +229,7 @@ def test_left_to_right_targets():
     y = (7, 8, 9)
     assert left_to_right_targets(y, 3) == [SlotTarget(location=3, kind="end_of_sequence")]
     t0 = left_to_right_targets(y, 0)
-    assert t0 == [SlotTarget(location=0, kind="span", span=SlotSpan(0, 0), weights=(1.0,))]
+    assert t0 == [SlotTarget(location=0, kind="span", span=range(0, 1), weights=(1.0,))]
     with pytest.raises(ValueError):
         left_to_right_targets(y, 4)
 
@@ -245,7 +245,7 @@ def test_analytic_minimum_on_two_token_toy():
     # span of two tokens with weights w: best achievable slot loss is
     # the cross entropy at p == w, i.e. -sum(w log w)
     y = (NUM_RESERVED, NUM_RESERVED + 1)
-    span = SlotSpan(0, 1)
+    span = range(0, 2)
     w = slot_weights(span, 1.3)
     targets = [_span_target(span, 0, w)]
     vocab = NUM_RESERVED + 2
@@ -268,10 +268,10 @@ def test_loss_gradients_match_finite_differences():
     vocab = NUM_RESERVED + 5
     y = tuple(rng.integers(NUM_RESERVED, vocab, size=3).tolist())
     logits = ad.tensor(rng.normal(size=(4, vocab)), requires_grad=True)
-    sample = CanvasSample(kept_indices=(1,), canvas=Canvas((y[1],)))
+    kept = (1,)
 
     def build(config):
-        targets = build_slot_targets(y, sample, config)
+        targets = build_slot_targets(y, kept, config)
 
         def f():
             flat = ad.reshape(logits, (1, 4 * vocab))
@@ -301,24 +301,24 @@ def test_batch_loss_matches_slotwise_reference(seed, n, batch):
     vocab = NUM_RESERVED + 6
     tau = 1.1
     config = LossConfig(order="binary_tree", temperature=tau, termination="slot")
-    ys, samples = [], []
+    ys, kepts = [], []
     for _ in range(batch):
         y = tuple(rng.integers(NUM_RESERVED, vocab, size=n).tolist())
         ys.append(y)
-        samples.append(sample_subsequence(y, rng))
-    slots = max(len(s.canvas) for s in samples) + 1
+        kepts.append(sample_subsequence(y, rng))
+    slots = max(len(kept) for kept in kepts) + 1
     logp = np.stack([_logp_grid(vocab, slots, rng) for _ in range(batch)])
 
     expected = []
-    for b, (y, sample) in enumerate(zip(ys, samples)):
+    for b, (y, kept) in enumerate(zip(ys, kepts)):
         terms = []
-        for l, span in enumerate(slot_spans(y, sample)):
-            if span.empty:
+        for l, span in enumerate(slot_spans(y, kept)):
+            if not span:
                 terms.append(-logp[b, l, EOSLOT])
             else:
                 w = slot_weights(span, tau)
-                terms.append(-float(np.dot(w, logp[b, l, list(y[span.first : span.last + 1])])))
+                terms.append(-float(np.dot(w, logp[b, l, list(y[span.start : span.stop])])))
         expected.append(np.mean(terms))
-    targets = [build_slot_targets(y, s, config) for y, s in zip(ys, samples)]
+    targets = [build_slot_targets(y, kept, config) for y, kept in zip(ys, kepts)]
     got = weighted_nll(ad.tensor(logp), ys, targets).item()
     assert abs(got - float(np.mean(expected))) < 1e-9

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from insgen.canvas import Canvas
 from insgen.model import InsertionModel, ModelConfig, conditional_log_probs
 from insgen.vocab import NUM_RESERVED
 
@@ -39,7 +38,7 @@ ALL_VARIANTS = [
 
 
 def _joint(model, x, canvas):
-    return model.log_probs(model.encode(x), Canvas(canvas))
+    return model.log_probs(model.encode(x), canvas)
 
 
 def _slots(model, memory, canvas) -> np.ndarray:
@@ -100,7 +99,7 @@ def test_distribution_reacts_to_any_canvas_token():
     for pos, repl in [(0, 10), (2, 10)]:
         toks = [7, 8, 9]
         toks[pos] = repl
-        changed = model.log_probs(memory, Canvas(tuple(toks)))
+        changed = model.log_probs(memory, tuple(toks))
         # every slot's distribution moves, including slots far from the edit
         for slot in range(4):
             assert not np.allclose(base[slot], changed[slot], atol=1e-9)
@@ -168,7 +167,8 @@ def test_factorized_single_slot_location_prob_one():
 def test_factorized_adds_exactly_d_model_params():
     joint = make_model(head_variant="joint")
     fact = make_model(head_variant="factorized")
-    assert fact.num_params() - joint.num_params() == fact.config.d_model
+    sizes = [sum(p.size for p in m.params.values()) for m in (joint, fact)]
+    assert sizes[1] - sizes[0] == fact.config.d_model
 
 
 def test_contextual_bias_maxpool_semantics():
@@ -233,7 +233,7 @@ def test_mos_forced_prior_selects_component():
     # point the prior at component 0 for this slot vector: h . p0 = 50, h . p1 = 0
     model.params["out.mos_prior"].data[:] = 0.0
     model.params["out.mos_prior"].data[:, 0] = 50.0 * h / (h @ h)
-    joint = model.log_probs(memory, Canvas())
+    joint = model.log_probs(memory, ())
     cond = conditional_log_probs(joint)
     z0 = np.tanh(h @ model.params["out.mos0.w"].data + model.params["out.mos0.b"].data)
     expected = _row_softmax((z0 @ model.params["out.w"].data)[None, :])

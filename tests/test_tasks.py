@@ -25,7 +25,7 @@ def test_vocab_reserved_ids_lowest():
     v = content_vocab(4)
     assert v.tokens[:6] == ("<pad>", "<eos>", "<eoslot>", "<left>", "<right>", "<unk>")
     assert v.id_of("w0") == NUM_RESERVED
-    assert v.token_of(NUM_RESERVED + 3) == "w3"
+    assert v.tokens[NUM_RESERVED + 3] == "w3"
     assert len(v) == NUM_RESERVED + 4
 
 

@@ -9,7 +9,6 @@ import pytest
 
 from insgen import autodiff as ad
 from insgen import checkpoint, training
-from insgen.canvas import Canvas, CanvasSample
 from insgen.config import load_config
 from insgen.decoding import DecodeConfig, decode
 from insgen.losses import LossConfig
@@ -145,7 +144,7 @@ def test_batch_loss_matches_per_item_reference():
     ref_losses = []
     for item in batch:
         memory = model.encode(item.x)
-        logp = model.log_probs(memory, Canvas(item.canvas))
+        logp = model.log_probs(memory, item.canvas)
         ref_losses.append(numpy_item_loss(logp, item.y, item.targets))
     assert got == pytest.approx(float(np.mean(ref_losses)), abs=1e-9)
 
@@ -227,7 +226,7 @@ def test_float32_model_computes_in_float32(monkeypatch):
     with ad.Tape() as tape:
         decode(model, x, DecodeConfig(mode="parallel", max_output_length=6))
     assert tape.nodes and {n.output.dtype for n in tape.nodes} == {np.dtype(np.float32)}
-    assert model.log_probs(model.encode(x), Canvas((x[0],))).dtype == np.float32
+    assert model.log_probs(model.encode(x), (x[0],)).dtype == np.float32
 
 
 def test_train_zero_steps_checkpoint_equals_init(tmp_path):
@@ -389,3 +388,15 @@ def test_damaged_optimizer_state_raises_checkpoint_error(tmp_path):
     save_optimizer_state(path, state)
     with pytest.raises(checkpoint.CheckpointError, match="missing"):
         load_optimizer_state(path, model)
+
+
+def test_optimizer_state_save_load_save_is_byte_identical(tmp_path):
+    model = tiny_model(dtype="float64")
+    run = str(tmp_path / "run")
+    config = TrainConfig(steps=2, batch_size=4)
+    train(model, tiny_dataset(20), LossConfig(order="uniform"), config, run_dir=run)
+    first = os.path.join(run, "ckpt-2.insr.opt")
+    again = str(tmp_path / "again.opt")
+    save_optimizer_state(again, load_optimizer_state(first, model))
+    with open(first, "rb") as a, open(again, "rb") as b:
+        assert a.read() == b.read()
