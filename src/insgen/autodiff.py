@@ -284,9 +284,12 @@ def mul(a: Tensor, b) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
+    """max(x, 0) elementwise, with +0.0 for every x <= 0; NaN propagates (it is not zeroed)."""
     a = _as_tensor(a)
     mask = a.data > 0
-    out = Tensor(np.where(mask, a.data, 0))
+    y = np.maximum(a.data, 0)
+    y += 0  # maximum(-0.0, 0) may be either zero, by platform; -0.0 + 0 is +0.0
+    out = Tensor(y)
     return _record(out, (a,), lambda g: (g * mask,))
 
 
@@ -348,7 +351,9 @@ def logsumexp(a: Tensor, axis: int = 0) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # ndarray.mean's own steps, without its Python wrapper: sum, then divide by the count
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
+    np.true_divide(mu, np.intp(x.shape[-1]), out=mu, casting="unsafe")
     xhat = x.data - mu
     var = np.einsum("...i,...i->...", xhat, xhat)[..., None] / x.shape[-1]
     inv = 1.0 / np.sqrt(var + eps)

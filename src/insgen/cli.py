@@ -136,7 +136,17 @@ def _load_model(path: str) -> tuple[InsertionModel, dict, Vocab]:
     return model, extra, Vocab(tokens=tuple(extra["vocab"]))
 
 
-def _read_sources(args, vocab: Vocab) -> list[TokenSeq]:
+def _check_source(x: TokenSeq, model: InsertionModel, where: str) -> None:
+    """Reject a source the encoder cannot take: it needs 1 to max_positions tokens."""
+    if not x:
+        raise CorpusFormatError(f"{where}: empty source")
+    if len(x) > model.config.max_positions:
+        raise CorpusFormatError(
+            f"{where}: source length {len(x)} exceeds the model's max_positions {model.config.max_positions}"
+        )
+
+
+def _read_sources(args, vocab: Vocab, model: InsertionModel) -> list[TokenSeq]:
     if args.tokens is not None:
         lines = [args.tokens]
     else:
@@ -145,16 +155,18 @@ def _read_sources(args, vocab: Vocab) -> list[TokenSeq]:
     sources = []
     for num, line in enumerate(lines, start=1):
         try:
-            sources.append(vocab.encode(line))
+            x = vocab.encode(line)
         except KeyError as e:
             raise CorpusFormatError(f"input line {num}: {e.args[0]}") from None
+        _check_source(x, model, f"input line {num}")
+        sources.append(x)
     return sources
 
 
 def cmd_decode(args) -> int:
     model, extra, vocab = _load_model(args.checkpoint)
     config = _decode_config_from(model, extra, args.mode, args.beta, args.max_output_length)
-    sources = _read_sources(args, vocab)
+    sources = _read_sources(args, vocab, model)
     for index, x in enumerate(sources):
         out, trace = decode(model, x, config)
         print(vocab.decode(out))
@@ -196,6 +208,9 @@ def cmd_eval(args) -> int:
         _, dataset = generate_datasets(TaskSpec(**task_info))
     if args.limit is not None:
         dataset = dataset[: args.limit]
+    if args.data is not None:
+        for num, (x, _) in enumerate(dataset, start=1):
+            _check_source(x, model, f"{args.data}:{num}")
     out_dir = args.out_dir or os.path.join(os.path.dirname(os.path.abspath(args.checkpoint)), "eval")
     os.makedirs(out_dir, exist_ok=True)
 

@@ -1,5 +1,11 @@
 """Insertion decoding with trace capture: one loop for serial and parallel mode.
 
+A policy has two calls: `encode(x)` returns a memory handle, and
+`log_probs(memory, canvas)` scores a canvas against it. The loop encodes
+once per sentence and hands the same handle to every iteration; the model's
+handle holds the encoder output, its key mask and each decoder layer's
+cross-attention keys and values, so the source side is computed once.
+
 Each iteration scores the current canvas once and the mode picks the step.
 Greedy (serial) mode takes the single best (content, location) action.
 Parallel mode computes per-slot conditionals, takes each slot's best

@@ -14,7 +14,17 @@ output-head variants turn the slot matrix into a distribution over
     content softmax
 
 Everything here is pure given the parameters; batched calls take padded id
-arrays plus lengths and mask internally.
+arrays plus lengths and mask internally. A mask is None when nothing is
+padded, so unpadded rows (every decode call) skip the masking arithmetic.
+
+The source side never changes while a sentence decodes, so `encode` returns
+a memory handle `(memory, src_mask, cross)`: the encoder output (1, S, h),
+its key mask (None, since one source has no padding) and `cross`, each
+decoder layer's cross-attention (keys, values) of the memory. `log_probs`
+passes `cross` to `slot_matrix_batch`, which computes it itself when not
+given (as in training), so decoding runs the same decoder path without
+re-projecting the memory on every iteration. The handle is a plain value
+the caller holds; the model keeps no state between calls.
 """
 
 from __future__ import annotations
@@ -141,11 +151,19 @@ class InsertionModel:
 
     # -- building blocks ----------------------------------------------------
 
-    def _attn(self, prefix: str, x: Tensor, kv: Tensor, mask: np.ndarray) -> Tensor:
+    def _kv(self, prefix: str, x: Tensor) -> tuple[Tensor, Tensor]:
+        p = self.params
+        k = ad.affine(x, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
+        v = ad.affine(x, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
+        return k, v
+
+    def _attn(
+        self, prefix: str, x: Tensor, mask: np.ndarray | None, kv: tuple[Tensor, Tensor] | None = None
+    ) -> Tensor:
+        """Attention of x over kv, a (keys, values) pair; self-attention when kv is None."""
         p = self.params
         q = ad.affine(x, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
-        k = ad.affine(kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
-        v = ad.affine(kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
+        k, v = self._kv(prefix, x) if kv is None else kv
         a = ad.attention(q, k, v, num_heads=self.config.num_heads, mask=mask)
         return ad.affine(a, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
@@ -165,31 +183,40 @@ class InsertionModel:
 
     # -- encoder ------------------------------------------------------------
 
-    def encode_batch(self, src: np.ndarray, src_len: np.ndarray) -> tuple[Tensor, np.ndarray]:
-        """Contextualize padded sources (B, S); returns memory and key mask (B, 1, S)."""
+    def encode_batch(self, src: np.ndarray, src_len: np.ndarray) -> tuple[Tensor, np.ndarray | None]:
+        """Contextualize padded sources (B, S); returns memory and key mask (B, 1, S).
+
+        The mask is None when no source is padded (every src_len == S).
+        """
         B, S = src.shape
         if S > self.config.max_positions:
             raise ValueError(f"source length {S} exceeds max_positions {self.config.max_positions}")
-        mask = (np.arange(S)[None, :] < src_len[:, None])[:, None, :]
+        mask = None if (src_len == S).all() else (np.arange(S)[None, :] < src_len[:, None])[:, None, :]
         x = self._embed_positions(src)
         for i in range(self.config.num_layers):
-            x = self._norm(f"enc{i}.ln1", ad.add(x, self._attn(f"enc{i}.attn", x, x, mask)))
+            x = self._norm(f"enc{i}.ln1", ad.add(x, self._attn(f"enc{i}.attn", x, mask)))
             x = self._norm(f"enc{i}.ln2", ad.add(x, self._ffn_apply(f"enc{i}.ffn", x)))
         return x, mask
 
     # -- decoder / slot matrix ----------------------------------------------
 
+    def cross_kv(self, memory: Tensor) -> list[tuple[Tensor, Tensor]]:
+        """Each decoder layer's cross-attention (keys, values) of `memory`."""
+        return [self._kv(f"dec{i}.cross", memory) for i in range(self.config.num_layers)]
+
     def slot_matrix_batch(
         self,
         memory: Tensor,
-        src_mask: np.ndarray,
+        src_mask: np.ndarray | None,
         canvas: np.ndarray,
         canvas_len: np.ndarray,
+        cross: list[tuple[Tensor, Tensor]] | None = None,
     ) -> tuple[Tensor, np.ndarray]:
         """Slot representations for padded canvases (B, C).
 
         Decoder input is [left-marker] + canvas + [right-marker]; its
-        self-attention is fully unmasked across real positions. Returns
+        self-attention is fully unmasked across real positions. `cross` is
+        `cross_kv(memory)`, computed here when not given. Returns
         H (B, C+1, d_model) and the boolean slot validity mask (B, C+1)
         (slot l is valid iff l <= canvas length).
         """
@@ -203,12 +230,16 @@ class InsertionModel:
         ids[:, 0] = LEFT_MARK
         ids[:, 1 : C + 1] = canvas
         ids[np.arange(B), canvas_len + 1] = RIGHT_MARK
-        key_mask = (np.arange(C + 2)[None, :] < (canvas_len + 2)[:, None])[:, None, :]
+        key_mask = None
+        if not (canvas_len == C).all():
+            key_mask = (np.arange(C + 2)[None, :] < (canvas_len + 2)[:, None])[:, None, :]
+        if cross is None:
+            cross = self.cross_kv(memory)
 
         x = self._embed_positions(ids)
         for i in range(self.config.num_layers):
-            x = self._norm(f"dec{i}.ln1", ad.add(x, self._attn(f"dec{i}.self", x, x, key_mask)))
-            x = self._norm(f"dec{i}.ln2", ad.add(x, self._attn(f"dec{i}.cross", x, memory, src_mask)))
+            x = self._norm(f"dec{i}.ln1", ad.add(x, self._attn(f"dec{i}.self", x, key_mask)))
+            x = self._norm(f"dec{i}.ln2", ad.add(x, self._attn(f"dec{i}.cross", x, src_mask, cross[i])))
             x = self._norm(f"dec{i}.ln3", ad.add(x, self._ffn_apply(f"dec{i}.ffn", x)))
         pairs = ad.adjacent_pairs(x)  # (B, C+1, 2h)
         H = ad.affine(pairs, self.params["slot_merge.w"], self.params["slot_merge.b"])
@@ -219,8 +250,7 @@ class InsertionModel:
 
     def _context_vector(self, H: Tensor, slot_mask: np.ndarray) -> Tensor:
         """Max-pool H over valid slots: (B, S1, h) -> (B, h)."""
-        gate = np.where(slot_mask, 0.0, NEG_INF).astype(H.dtype)[:, :, None]
-        return ad.max_over_axis(ad.add(H, Tensor(gate)), axis=-2)
+        return ad.max_over_axis(_gate_slots(H, slot_mask), axis=-2)
 
     def _content_logits(self, H: Tensor, bias: Tensor | None) -> list[Tensor]:
         """Per-mixture-component content logits (each (B, S1, V))."""
@@ -252,11 +282,9 @@ class InsertionModel:
         components = self._content_logits(H, bias)
 
         if cfg.head_variant == "joint":
-            slot_gate = np.where(slot_mask, 0.0, NEG_INF).astype(H.dtype)[:, :, None]
             per_comp = []
             for logits in components:
-                gated = ad.add(logits, Tensor(slot_gate))
-                flat = ad.reshape(gated, (B, S1 * V))
+                flat = ad.reshape(_gate_slots(logits, slot_mask), (B, S1 * V))
                 per_comp.append(ad.reshape(ad.log_softmax(flat, axis=-1), (B, S1, V)))
             if cfg.mos_components == 1:
                 return per_comp[0]
@@ -279,23 +307,30 @@ class InsertionModel:
             raise ValueError("location distribution only exists for the factorized head")
         B, S1, _ = H.shape
         loc = ad.reshape(ad.matmul(H, self.params["out.loc_query"]), (B, S1))
-        gate = np.where(slot_mask, 0.0, NEG_INF).astype(H.dtype)
-        return ad.log_softmax(ad.add(loc, Tensor(gate)), axis=-1)
+        return ad.log_softmax(_gate_slots(loc, slot_mask), axis=-1)
 
     # -- single-sequence convenience (inference) ------------------------------
 
     def encode(self, x: TokenSeq):
-        """Encode one source sequence; returns an opaque memory handle."""
+        """Encode one source sequence; returns the handle (memory, src_mask, cross_kv(memory))."""
         src = np.asarray([list(x)], dtype=np.int64)
         memory, mask = self.encode_batch(src, np.array([len(x)]))
-        return memory, mask
+        return memory, mask, self.cross_kv(memory)
 
     def log_probs(self, memory, canvas: TokenSeq) -> np.ndarray:
-        """Joint log p(c, l) for one canvas: ndarray (T+1, vocab)."""
-        mem, src_mask = memory
+        """Joint log p(c, l) for one canvas, given the handle `encode` returned: ndarray (T+1, vocab)."""
+        mem, src_mask, cross = memory
         ids = np.asarray([canvas], dtype=np.int64).reshape(1, len(canvas))
-        H, slot_mask = self.slot_matrix_batch(mem, src_mask, ids, np.array([len(canvas)]))
+        H, slot_mask = self.slot_matrix_batch(mem, src_mask, ids, np.array([len(canvas)]), cross)
         return self.joint_log_probs_batch(H, slot_mask).data[0]
+
+
+def _gate_slots(x: Tensor, slot_mask: np.ndarray) -> Tensor:
+    """x (B, S1, ...) plus NEG_INF on invalid slots; x itself when every slot is valid."""
+    if slot_mask.all():  # adding 0.0 changes no value
+        return x
+    gate = np.where(slot_mask, 0.0, NEG_INF).astype(x.dtype)
+    return ad.add(x, Tensor(gate.reshape(slot_mask.shape + (1,) * (x.data.ndim - 2))))
 
 
 def _mix(per_comp: list[Tensor], log_prior: Tensor) -> Tensor:

@@ -277,3 +277,70 @@ def test_ops_stay_finite_on_bounded_inputs(seed):
         ad.tanh(x),
     ):
         assert np.all(np.isfinite(out.data))
+
+
+# -- exactness of the rewritten kernels against the formulas they replaced ----
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal dtype, shape and bytes: tells -0.0 from +0.0, unlike ==."""
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_relu_matches_the_where_formula_bit_for_bit(dtype):
+    rng = np.random.default_rng(0)
+    x = rng.normal(size=(8, 34, 16)).astype(dtype)
+    tiny = np.finfo(dtype).tiny
+    x.flat[:6] = [-0.0, 0.0, -tiny, tiny, -tiny / 4, tiny / 4]  # signed zeros and subnormals
+    with ad.Tape() as tape:
+        y = ad.relu(ad.tensor(x, requires_grad=True))
+    assert _same_bits(y.data, np.where(x > 0, x, 0))  # -0.0 comes out as +0.0
+    g = rng.normal(size=x.shape).astype(dtype)
+    (gx,) = tape.nodes[0].backward_fn(g)
+    assert _same_bits(gx, g * (x > 0))
+
+
+def test_relu_propagates_nan():
+    ad.set_finite_checks(False)  # the autouse fixture turns them back on
+    out = ad.relu(ad.tensor(np.array([np.nan, -1.0, 2.0]))).data
+    assert np.isnan(out[0]) and out[1] == 0.0 and out[2] == 2.0
+
+
+def _layer_norm_with_mean(x, gain, bias, eps=1e-5):
+    """layer_norm's forward as written with ndarray.mean."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xhat = x - mu
+    var = np.einsum("...i,...i->...", xhat, xhat)[..., None] / x.shape[-1]
+    xhat *= 1.0 / np.sqrt(var + eps)
+    y = xhat * gain
+    y += bias
+    return y
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(8, 34, 64), (3, 5, 17), (7,)])
+def test_layer_norm_matches_a_mean_reference_bit_for_bit(dtype, shape):
+    rng = np.random.default_rng(1)
+    x = (rng.normal(size=shape) * 3 + 1).astype(dtype)
+    gain = rng.normal(size=shape[-1]).astype(dtype)
+    bias = rng.normal(size=shape[-1]).astype(dtype)
+    out = ad.layer_norm(ad.tensor(x), ad.tensor(gain), ad.tensor(bias)).data
+    assert _same_bits(out, _layer_norm_with_mean(x, gain, bias))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_without_mask_equals_an_all_true_mask_bit_for_bit(dtype):
+    rng = np.random.default_rng(2)
+    q, k, v = (rng.normal(size=(3, 6, 8)).astype(dtype) for _ in range(3))
+    g = rng.normal(size=(3, 6, 8)).astype(dtype)
+    results = []
+    for mask in (None, np.ones((3, 1, 6), dtype=bool)):
+        ts = [ad.tensor(a, requires_grad=True) for a in (q, k, v)]
+        with ad.Tape() as tape:
+            out = ad.attention(*ts, num_heads=2, mask=mask)
+            loss = ad.tsum(ad.mul(out, g))
+        tape.backward(loss)
+        results.append([out.data] + [t.grad for t in ts])
+    for a, b in zip(*results):
+        assert _same_bits(a, b)

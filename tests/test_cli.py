@@ -231,3 +231,29 @@ def test_bad_model_config_in_checkpoint_is_a_usage_error(tiny_run, tmp_path, cap
     assert main(["eval", "--checkpoint", str(path), "--limit", "2"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(path) in err and "Traceback" not in err, err
+
+
+LONG_SOURCE = " ".join(["w0"] * 70)  # the tiny run's model has 64 positions
+
+
+@pytest.mark.parametrize(
+    "source, where",
+    [
+        pytest.param("", "input line 1: empty source", id="decode-empty"),
+        pytest.param(LONG_SOURCE, "input line 1: source length 70 exceeds", id="decode-too-long"),
+        pytest.param("\tw0", "corpus.tsv:2: empty source", id="eval-data-empty"),
+        pytest.param(f"{LONG_SOURCE}\tw0", "corpus.tsv:2: source length 70 exceeds", id="eval-data-too-long"),
+    ],
+)
+def test_bad_source_length_is_a_usage_error(tiny_run, tmp_path, capsys, source, where):
+    ckpt = os.path.join(tiny_run, "ckpt-8.insr")
+    if where.startswith("input"):
+        argv = ["decode", "--checkpoint", ckpt, "--tokens", source]
+    else:
+        corpus = tmp_path / "corpus.tsv"
+        corpus.write_text(f"w0 w1\tw0 w1\n{source}\n")
+        argv = ["eval", "--checkpoint", ckpt, "--data", str(corpus), "--out-dir", str(tmp_path / "eval")]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and where in captured.err, captured.err
+    assert "Traceback" not in captured.err and captured.out == ""

@@ -50,13 +50,13 @@ def _slots(model, memory, canvas) -> np.ndarray:
 
 def test_encode_shape_contract():
     model = make_model()
-    memory, _ = model.encode((7, 8, 9))
+    memory = model.encode((7, 8, 9))[0]
     assert memory.shape == (1, 3, 16)
 
 
 def test_encode_position_sensitivity():
     model = make_model()
-    memory, _ = model.encode((7, 7))
+    memory = model.encode((7, 7))[0]
     rows = memory.data[0]
     assert not np.allclose(rows[0], rows[1])
 
@@ -65,6 +65,20 @@ def test_encode_rejects_overlong_input():
     model = make_model()
     with pytest.raises(ValueError, match="max_positions"):
         model.encode(tuple([7] * 17))
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: "-".join(f"{k}={v[k]}" for k in v))
+def test_log_probs_on_the_encode_handle_equals_the_training_path(variant):
+    # encode's handle carries each decoder layer's cross-attention K/V; without
+    # them slot_matrix_batch projects the memory itself, as in training
+    model = make_model(num_layers=2, **variant)
+    x, canvas = (6, 7, 8), (9, 10)
+    memory, src_mask, cross = model.encode(x)
+    assert src_mask is None and len(cross) == 2
+    mem, mask = model.encode_batch(np.array([x]), np.array([len(x)]))
+    H, slot_mask = model.slot_matrix_batch(mem, mask, np.array([canvas]), np.array([len(canvas)]))
+    expected = model.joint_log_probs_batch(H, slot_mask).data[0]
+    assert np.array_equal(model.log_probs((memory, src_mask, cross), canvas), expected)
 
 
 def test_slot_matrix_row_counts():
