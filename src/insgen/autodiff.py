@@ -1,8 +1,9 @@
 """Minimal dense-tensor arithmetic with reverse-mode automatic differentiation.
 
 Just enough machinery for a small encoder-decoder attention model: matmul,
-softmax, layer norm, fused multi-head attention, embedding lookups, gathers
-and reductions. Tensors wrap numpy arrays; a Tape records ops in execution
+softmax, layer norm, fused multi-head attention, embedding lookups, gathers,
+row gathers and scatters between padded slabs and their real rows, and
+reductions. Tensors wrap numpy arrays; a Tape records ops in execution
 order (which is already topological) and replays them in reverse to
 accumulate gradients.
 
@@ -40,6 +41,8 @@ __all__ = [
     "adjacent_pairs",
     "max_over_axis",
     "take",
+    "gather_rows",
+    "scatter_rows",
     "tsum",
     "tmean",
     "reshape",
@@ -522,6 +525,35 @@ def take(x: Tensor, indices: tuple[np.ndarray, ...]) -> Tensor:
         return (gx.astype(x.dtype).reshape(x.shape),)
 
     return _record(out, (x,), bwd)
+
+
+def gather_rows(x: Tensor, rows: np.ndarray) -> Tensor:
+    """Rows of x (..., h), numbered flat over the leading axes: (len(rows), h).
+
+    `rows` must be distinct, so the gradient is one row scatter into zeros,
+    the exact inverse of the gather (`scatter_rows` is the same pair of
+    moves the other way round).
+    """
+    x = _as_tensor(x)
+    h = x.shape[-1]
+    out = Tensor(x.data.reshape(-1, h)[rows])
+
+    def bwd(g):
+        gx = np.zeros((x.size // h, h), dtype=x.dtype)
+        gx[rows] = g
+        return (gx.reshape(x.shape),)
+
+    return _record(out, (x,), bwd)
+
+
+def scatter_rows(x: Tensor, rows: np.ndarray, shape: Sequence[int]) -> Tensor:
+    """Zeros of `shape` (..., h) with the rows of x (N, h) at the distinct flat row numbers `rows`."""
+    x = _as_tensor(x)
+    h = shape[-1]
+    buf = np.zeros((math.prod(shape[:-1]), h), dtype=x.dtype)
+    buf[rows] = x.data
+    out = Tensor(buf.reshape(shape))
+    return _record(out, (x,), lambda g: (g.reshape(-1, h)[rows],))
 
 
 def tsum(x: Tensor) -> Tensor:

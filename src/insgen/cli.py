@@ -12,7 +12,7 @@ import sys
 
 from .canvas import TokenSeq
 from .checkpoint import CheckpointError, load as load_checkpoint
-from .config import ConfigError, build_section, load_config, write_effective_config
+from .config import ConfigError, RunConfig, build_section, load_config, write_effective_config
 from .decoding import (
     DecodeConfig,
     TraceFormatError,
@@ -98,8 +98,30 @@ def _decode_config_from(model: InsertionModel, extra: dict, mode, beta, max_outp
     return cfg
 
 
+def _check_positions(config: RunConfig) -> None:
+    """Reject a run whose model is too short for its task or its stored decode limit.
+
+    Training feeds the decoder canvases of up to task.max_length tokens plus
+    two markers (the source needs only task.max_length), and decoding needs
+    decode.max_output_length plus two.
+    """
+    positions = config.model.max_positions
+    n = config.task.max_length
+    if n + 2 > positions:
+        raise ConfigError(
+            f"task.max_length {n} needs {n + 2} decoder positions for a full canvas; "
+            f"model.max_positions is {positions}"
+        )
+    n = config.decode.max_output_length
+    if n + 2 > positions:
+        raise ConfigError(
+            f"decode.max_output_length {n} needs {n + 2} decoder positions; model.max_positions is {positions}"
+        )
+
+
 def cmd_train(args) -> int:
     config = load_config(args.config, args.overrides)
+    _check_positions(config)
     os.makedirs(args.run_dir, exist_ok=True)
     write_effective_config(os.path.join(args.run_dir, "config.effective"), config)
     train_set, dev_set = generate_datasets(config.task)

@@ -23,6 +23,7 @@ over items of the mean over each item's slot losses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -92,6 +93,18 @@ def slot_weights(span: range, tau: float) -> np.ndarray:
     return e / e.sum()
 
 
+@lru_cache(maxsize=4096)
+def _span_weights(n: int, order: str, tau: float) -> tuple[float, ...]:
+    """Target weights of any n-token span: uniform, or `slot_weights`.
+
+    They depend only on the span's length, the order and tau, not on where
+    the span starts, so each (n, order, tau) is computed once.
+    """
+    if order == "uniform":
+        return tuple(np.full(n, 1.0 / n).tolist())
+    return tuple(slot_weights(range(n), tau).tolist())
+
+
 def build_slot_targets(y: TokenSeq, kept: tuple[int, ...], config: LossConfig) -> list[SlotTarget]:
     """Per-slot supervision for the canvas that the kept indices of y induce."""
     spans = slot_spans(y, kept)
@@ -104,11 +117,8 @@ def build_slot_targets(y: TokenSeq, kept: tuple[int, ...], config: LossConfig) -
             elif complete:
                 targets.append(SlotTarget(location=l, kind="end_of_sequence"))
             continue
-        if config.order == "uniform":
-            w = np.full(len(span), 1.0 / len(span))
-        else:
-            w = slot_weights(span, config.temperature)
-        targets.append(SlotTarget(location=l, kind="span", span=span, weights=tuple(w.tolist())))
+        w = _span_weights(len(span), config.order, config.temperature)
+        targets.append(SlotTarget(location=l, kind="span", span=span, weights=w))
     return targets
 
 

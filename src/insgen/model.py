@@ -13,9 +13,14 @@ output-head variants turn the slot matrix into a distribution over
   * mixture of softmaxes -- K-component mixture replacing the single
     content softmax
 
-Everything here is pure given the parameters; batched calls take padded id
-arrays plus lengths and mask internally. A mask is None when nothing is
-padded, so unpadded rows (every decode call) skip the masking arithmetic.
+Everything here is pure given the parameters. Batched calls take padded id
+arrays (B, T) plus lengths, and their position-wise layers (the embedding
+sum, the q/k/v/o projections, the FFN and residual plus layer norm) run on
+the real token rows only: an (N, h) tensor of the N = sum(lengths) real
+positions, in row-major order. Each attention call scatters its q/k/v rows
+into zero-padded (B, T, h) slabs with a key mask and gathers the real output
+rows back. When nothing is padded (every decode call) the row index and the
+mask are None, the layers run on the (B, T, h) slab itself, and no row moves.
 
 The source side never changes while a sentence decodes, so `encode` returns
 a memory handle `(memory, src_mask, cross)`: the encoder output (1, S, h),
@@ -23,8 +28,10 @@ its key mask (None, since one source has no padding) and `cross`, each
 decoder layer's cross-attention (keys, values) of the memory. `log_probs`
 passes `cross` to `slot_matrix_batch`, which computes it itself when not
 given (as in training), so decoding runs the same decoder path without
-re-projecting the memory on every iteration. The handle is a plain value
-the caller holds; the model keeps no state between calls.
+re-projecting the memory on every iteration. `cross_kv` projects the keys
+and values from the memory's real rows and pads them once per layer. The
+handle is a plain value the caller holds; the model keeps no state between
+calls.
 """
 
 from __future__ import annotations
@@ -151,21 +158,27 @@ class InsertionModel:
 
     # -- building blocks ----------------------------------------------------
 
-    def _kv(self, prefix: str, x: Tensor) -> tuple[Tensor, Tensor]:
+    def _kv(self, prefix: str, x: Tensor, layout: Layout) -> tuple[Tensor, Tensor]:
+        """Keys and values of x's rows, each as a (B, T, h) slab."""
         p = self.params
         k = ad.affine(x, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
         v = ad.affine(x, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
-        return k, v
+        return _pad(k, layout), _pad(v, layout)
 
     def _attn(
-        self, prefix: str, x: Tensor, mask: np.ndarray | None, kv: tuple[Tensor, Tensor] | None = None
+        self,
+        prefix: str,
+        x: Tensor,
+        layout: Layout,
+        mask: np.ndarray | None,
+        kv: tuple[Tensor, Tensor] | None = None,
     ) -> Tensor:
-        """Attention of x over kv, a (keys, values) pair; self-attention when kv is None."""
+        """Attention of x's rows over kv, a (keys, values) pair of slabs; self-attention when kv is None."""
         p = self.params
         q = ad.affine(x, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
-        k, v = self._kv(prefix, x) if kv is None else kv
-        a = ad.attention(q, k, v, num_heads=self.config.num_heads, mask=mask)
-        return ad.affine(a, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
+        k, v = self._kv(prefix, x, layout) if kv is None else kv
+        a = ad.attention(_pad(q, layout), k, v, num_heads=self.config.num_heads, mask=mask)
+        return ad.affine(_unpad(a, layout), p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
     def _ffn_apply(self, prefix: str, x: Tensor) -> Tensor:
         p = self.params
@@ -175,10 +188,15 @@ class InsertionModel:
     def _norm(self, prefix: str, x: Tensor) -> Tensor:
         return ad.layer_norm(x, self.params[f"{prefix}.gain"], self.params[f"{prefix}.bias"])
 
-    def _embed_positions(self, ids: np.ndarray) -> Tensor:
+    def _embed_positions(self, ids: np.ndarray, layout: Layout) -> Tensor:
+        """Scaled token embeddings plus positions of the real rows of ids (B, T)."""
+        rows = layout[0]
+        T = ids.shape[-1]
+        pe = self._positions[:T]
+        if rows is not None:
+            ids, pe = ids.reshape(-1)[rows], pe[rows % T]
         emb = ad.embedding(self.params["embed"], ids)
         scaled = ad.mul(emb, float(math.sqrt(self.config.d_model)))
-        pe = self._positions[: ids.shape[-1]]
         return ad.add(scaled, Tensor(pe))
 
     # -- encoder ------------------------------------------------------------
@@ -186,23 +204,34 @@ class InsertionModel:
     def encode_batch(self, src: np.ndarray, src_len: np.ndarray) -> tuple[Tensor, np.ndarray | None]:
         """Contextualize padded sources (B, S); returns memory and key mask (B, 1, S).
 
-        The mask is None when no source is padded (every src_len == S).
+        The memory holds the sources' real rows, (sum(src_len), h) in
+        row-major order of the mask. When no source is padded (every
+        src_len == S) the mask is None and the memory is the (B, S, h) slab.
         """
         B, S = src.shape
         if S > self.config.max_positions:
             raise ValueError(f"source length {S} exceeds max_positions {self.config.max_positions}")
-        mask = None if (src_len == S).all() else (np.arange(S)[None, :] < src_len[:, None])[:, None, :]
-        x = self._embed_positions(src)
+        layout, mask = _layout(src_len, S)
+        x = self._embed_positions(src, layout)
         for i in range(self.config.num_layers):
-            x = self._norm(f"enc{i}.ln1", ad.add(x, self._attn(f"enc{i}.attn", x, mask)))
+            x = self._norm(f"enc{i}.ln1", ad.add(x, self._attn(f"enc{i}.attn", x, layout, mask)))
             x = self._norm(f"enc{i}.ln2", ad.add(x, self._ffn_apply(f"enc{i}.ffn", x)))
         return x, mask
 
     # -- decoder / slot matrix ----------------------------------------------
 
-    def cross_kv(self, memory: Tensor) -> list[tuple[Tensor, Tensor]]:
-        """Each decoder layer's cross-attention (keys, values) of `memory`."""
-        return [self._kv(f"dec{i}.cross", memory) for i in range(self.config.num_layers)]
+    def cross_kv(self, memory: Tensor, src_mask: np.ndarray | None = None) -> list[tuple[Tensor, Tensor]]:
+        """Each decoder layer's cross-attention (keys, values) of `memory`, padded to (B, S, h) slabs.
+
+        `memory` and `src_mask` are what `encode_batch` returned: the real
+        rows plus their mask, or the slab and None.
+        """
+        if src_mask is None:
+            layout = (None, memory.shape[:-1])
+        else:
+            B, _, S = src_mask.shape
+            layout = (np.flatnonzero(src_mask), (B, S))
+        return [self._kv(f"dec{i}.cross", memory, layout) for i in range(self.config.num_layers)]
 
     def slot_matrix_batch(
         self,
@@ -216,7 +245,7 @@ class InsertionModel:
 
         Decoder input is [left-marker] + canvas + [right-marker]; its
         self-attention is fully unmasked across real positions. `cross` is
-        `cross_kv(memory)`, computed here when not given. Returns
+        `cross_kv(memory, src_mask)`, computed here when not given. Returns
         H (B, C+1, d_model) and the boolean slot validity mask (B, C+1)
         (slot l is valid iff l <= canvas length).
         """
@@ -230,18 +259,16 @@ class InsertionModel:
         ids[:, 0] = LEFT_MARK
         ids[:, 1 : C + 1] = canvas
         ids[np.arange(B), canvas_len + 1] = RIGHT_MARK
-        key_mask = None
-        if not (canvas_len == C).all():
-            key_mask = (np.arange(C + 2)[None, :] < (canvas_len + 2)[:, None])[:, None, :]
+        layout, key_mask = _layout(canvas_len + 2, C + 2)
         if cross is None:
-            cross = self.cross_kv(memory)
+            cross = self.cross_kv(memory, src_mask)
 
-        x = self._embed_positions(ids)
+        x = self._embed_positions(ids, layout)
         for i in range(self.config.num_layers):
-            x = self._norm(f"dec{i}.ln1", ad.add(x, self._attn(f"dec{i}.self", x, key_mask)))
-            x = self._norm(f"dec{i}.ln2", ad.add(x, self._attn(f"dec{i}.cross", x, src_mask, cross[i])))
+            x = self._norm(f"dec{i}.ln1", ad.add(x, self._attn(f"dec{i}.self", x, layout, key_mask)))
+            x = self._norm(f"dec{i}.ln2", ad.add(x, self._attn(f"dec{i}.cross", x, layout, src_mask, cross[i])))
             x = self._norm(f"dec{i}.ln3", ad.add(x, self._ffn_apply(f"dec{i}.ffn", x)))
-        pairs = ad.adjacent_pairs(x)  # (B, C+1, 2h)
+        pairs = ad.adjacent_pairs(_pad(x, layout))  # (B, C+1, 2h)
         H = ad.affine(pairs, self.params["slot_merge.w"], self.params["slot_merge.b"])
         slot_mask = np.arange(C + 1)[None, :] <= canvas_len[:, None]
         return H, slot_mask
@@ -323,6 +350,33 @@ class InsertionModel:
         ids = np.asarray([canvas], dtype=np.int64).reshape(1, len(canvas))
         H, slot_mask = self.slot_matrix_batch(mem, src_mask, ids, np.array([len(canvas)]), cross)
         return self.joint_log_probs_batch(H, slot_mask).data[0]
+
+
+# A batch's row layout: (rows, (B, T)). rows holds the flat numbers b * T + t
+# of the real positions of a (B, T) slab, and position-wise layers run on
+# those rows only, an (N, h) tensor. rows is None when nothing is padded; the
+# layers then run on the (B, T, h) slab itself and padding moves nothing.
+Layout = tuple[np.ndarray | None, tuple[int, int]]
+
+
+def _layout(lengths: np.ndarray, T: int) -> tuple[Layout, np.ndarray | None]:
+    """Row layout and key mask (B, 1, T) of rows holding lengths[b] real positions each."""
+    if (lengths == T).all():
+        return (None, (len(lengths), T)), None
+    valid = np.arange(T)[None, :] < lengths[:, None]
+    return (np.flatnonzero(valid), valid.shape), valid[:, None, :]
+
+
+def _pad(x: Tensor, layout: Layout) -> Tensor:
+    """Real rows (N, h) as a zero-padded (B, T, h) slab; x itself when nothing is padded."""
+    rows, (B, T) = layout
+    return x if rows is None else ad.scatter_rows(x, rows, (B, T, x.shape[-1]))
+
+
+def _unpad(x: Tensor, layout: Layout) -> Tensor:
+    """The real rows (N, h) of a (B, T, h) slab; x itself when nothing is padded."""
+    rows = layout[0]
+    return x if rows is None else ad.gather_rows(x, rows)
 
 
 def _gate_slots(x: Tensor, slot_mask: np.ndarray) -> Tensor:

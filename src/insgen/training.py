@@ -5,11 +5,14 @@ targets; states are never reused across generation steps, every item is an
 independent forward pass. The loss is the mean over items of the mean
 over each item's slot losses.
 
-A step splits the batch into length-sorted micro-batches. Each runs as one
-padded forward on its own tape, and its backward runs right away, adding
-its share of the gradient into the parameters' .grad. So a step holds the
-activations of one micro-batch at a time, and `micro_batch` bounds step
-memory whatever the batch size.
+A step splits the batch into length-sorted micro-batches, sorted by source
+length first, then by canvas length. Each runs as one forward on its own
+tape, and its backward runs right away, adding its share of the gradient
+into the parameters' .grad. So a step holds the activations of one
+micro-batch at a time, and `micro_batch` bounds step memory whatever the
+batch size. The model's position-wise layers run on real token rows only,
+so padding costs only in attention and the slot head. Source length leads
+the sort key, which keeps the encoder's S x S attention scores dense.
 
 The batch rng for step t derives from (seed, t), so resuming from a
 checkpoint (parameters + optimizer moments) reproduces an uninterrupted
@@ -50,7 +53,7 @@ class TrainConfig:
     checkpoint_interval: int = 1000
     samples_per_example: int = 1
     # items are bucketed by length into micro-batches of this size, each with
-    # its own forward and backward: short canvases don't pay for the longest
+    # its own forward and backward: short sources don't pay for the longest
     # one's padding, and step memory is bounded by one micro-batch's
     # activations; 0 runs the whole batch as one micro-batch
     micro_batch: int = 8
@@ -169,7 +172,7 @@ def make_training_batch(
 
 
 def batch_loss(model: InsertionModel, batch: list[BatchItem]) -> Tensor:
-    """Single padded forward over the batch; mean over items of their full losses."""
+    """One forward over the batch, padded ids in, real rows through the layers; mean over items of their losses."""
     B = len(batch)
     src_len = np.array([len(it.x) for it in batch], dtype=np.int64)
     can_len = np.array([len(it.canvas) for it in batch], dtype=np.int64)
@@ -212,10 +215,10 @@ def train_step(
 
 
 def _length_buckets(batch: list[BatchItem], micro_batch: int) -> list[list[BatchItem]]:
-    """Split the batch into length-sorted micro-batches (mean loss is unchanged)."""
+    """Split the batch into micro-batches sorted by (source, canvas) length (mean loss is unchanged)."""
     if micro_batch <= 0 or len(batch) <= micro_batch:
         return [batch]
-    order = sorted(range(len(batch)), key=lambda i: (len(batch[i].canvas), len(batch[i].x), i))
+    order = sorted(range(len(batch)), key=lambda i: (len(batch[i].x), len(batch[i].canvas), i))
     return [
         [batch[i] for i in order[s : s + micro_batch]]
         for s in range(0, len(order), micro_batch)

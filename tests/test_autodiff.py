@@ -204,6 +204,31 @@ def test_take_gradcheck():
     _gradcheck(lambda: ad.tsum(ad.mul(ad.take(x, idx), w)), [x])
 
 
+ROWS = np.array([0, 1, 2, 4, 6, 7, 8])  # real rows of a (3, 3) slab with lengths 3, 1 and 3
+
+
+def test_gather_rows_layout_and_gradcheck():
+    rng = np.random.default_rng(13)
+    x = ad.tensor(rng.normal(size=(3, 3, 4)), requires_grad=True)
+    out = ad.gather_rows(x, ROWS)
+    np.testing.assert_array_equal(out.data, x.data.reshape(9, 4)[ROWS])
+    w = rng.normal(size=(len(ROWS), 4))
+    _gradcheck(lambda: ad.tsum(ad.mul(ad.gather_rows(x, ROWS), w)), [x])
+
+
+def test_scatter_rows_layout_and_gradcheck():
+    rng = np.random.default_rng(14)
+    x = ad.tensor(rng.normal(size=(len(ROWS), 4)), requires_grad=True)
+    out = ad.scatter_rows(x, ROWS, (3, 3, 4))
+    assert out.shape == (3, 3, 4)
+    np.testing.assert_array_equal(out.data.reshape(9, 4)[ROWS], x.data)
+    np.testing.assert_array_equal(out.data.reshape(9, 4)[[3, 5]], 0.0)  # padded rows are zeros
+    w = rng.normal(size=(3, 3, 4))
+    _gradcheck(lambda: ad.tsum(ad.mul(ad.scatter_rows(x, ROWS, (3, 3, 4)), w)), [x])
+    # the two ops are inverses: gathering the scattered rows gives x back
+    np.testing.assert_array_equal(ad.gather_rows(out, ROWS).data, x.data)
+
+
 def test_logsumexp_and_stack_gradcheck():
     rng = np.random.default_rng(12)
     a = ad.tensor(rng.normal(size=(2, 3)), requires_grad=True)

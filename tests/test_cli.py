@@ -257,3 +257,26 @@ def test_bad_source_length_is_a_usage_error(tiny_run, tmp_path, capsys, source, 
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and where in captured.err, captured.err
     assert "Traceback" not in captured.err and captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        pytest.param(["task.min_length=66", "task.max_length=70"], "task.max_length 70 needs 72", id="task-max-length"),
+        pytest.param(
+            ["decode.max_output_length=63"], "decode.max_output_length 63 needs 65", id="decode-max-output-length"
+        ),
+    ],
+)
+def test_train_config_longer_than_max_positions_is_a_usage_error(tmp_path, capsys, overrides, message):
+    # the default model has 64 positions; a run that could not train or
+    # decode at its own limits is rejected before its run directory exists
+    run_dir = tmp_path / "run"
+    argv = ["train", "--run-dir", str(run_dir)]
+    for o in overrides:
+        argv += ["--set", o]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err, captured.err
+    assert "Traceback" not in captured.err
+    assert not run_dir.exists()

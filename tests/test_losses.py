@@ -11,6 +11,7 @@ from insgen import autodiff as ad
 from insgen.canvas import sample_subsequence, slot_spans
 from insgen.losses import (
     LossConfig,
+    _span_weights,
     SlotTarget,
     build_slot_targets,
     left_to_right_targets,
@@ -93,6 +94,27 @@ def test_center_weight_sharpens_as_tau_decreases():
 def test_slot_weights_rejects_empty_span():
     with pytest.raises(ValueError):
         slot_weights(range(3, 3), 1.0)
+
+
+@pytest.mark.parametrize("tau", [1e-3, 0.1, 0.8, 1.0, 5.0, 50.0])
+def test_cached_span_weights_equal_slot_weights_at_every_offset(tau):
+    # the cache keys on the span's length only; a span's weights must not
+    # depend on where it starts, bit for bit
+    for n in range(1, 65):
+        cached = _span_weights(n, "binary_tree", tau)
+        for start in (0, 3, 17):
+            assert cached == tuple(slot_weights(range(start, start + n), tau).tolist()), (n, start)
+        assert _span_weights(n, "uniform", tau) == tuple(np.full(n, 1.0 / n).tolist())
+
+
+def test_build_slot_targets_weights_match_slot_weights():
+    y = tuple(range(10, 22))
+    kept = (2, 3, 9)
+    for order, tau in (("binary_tree", 0.7), ("uniform", 1.0)):
+        for t in build_slot_targets(y, kept, LossConfig(order=order, temperature=tau)):
+            if t.kind == "span":
+                want = slot_weights(t.span, tau) if order == "binary_tree" else np.full(len(t.span), 1 / len(t.span))
+                assert t.weights == tuple(want.tolist()), (order, t.span)
 
 
 def _logp_grid(vocab: int, slots: int, rng) -> np.ndarray:

@@ -327,6 +327,83 @@ def test_gradients_nonzero_for_influencing_params():
         assert p.grad is not None and np.abs(p.grad).sum() > 0, name
 
 
+def _padded_batch() -> list[BatchItem]:
+    """Items of distinct source lengths and more than one canvas length, so both sides are padded."""
+    batch = make_training_batch(tiny_dataset(), LossConfig(), np.random.default_rng(3), 12)
+    batch = list({len(it.x): it for it in batch}.values())
+    assert len(batch) >= 3
+    assert len({len(it.x) for it in batch}) > 1 and len({len(it.canvas) for it in batch}) > 1
+    return batch
+
+
+def _loss_and_grads(model, batch) -> tuple[float, dict[str, np.ndarray]]:
+    model.zero_grads()
+    with ad.Tape() as tape:
+        loss = batch_loss(model, batch)
+    tape.backward(loss)
+    grads = {k: np.zeros_like(p.data) if p.grad is None else p.grad.copy() for k, p in model.params.items()}
+    return loss.item(), grads
+
+
+@pytest.mark.parametrize(
+    "variant",
+    [{}, {"head_variant": "factorized", "use_contextual_bias": True, "mos_components": 2}],
+    ids=["joint", "factorized-bias-mos"],
+)
+def test_padded_batch_equals_the_mean_of_its_single_item_runs(variant):
+    # padded rows must reach neither the loss nor any gradient: a padded
+    # batch is the 1/B-weighted sum of its items run alone, which pad nothing
+    model = tiny_model(**variant)
+    batch = _padded_batch()
+    loss, grads = _loss_and_grads(model, batch)
+    singles = [_loss_and_grads(model, [item]) for item in batch]
+    B = len(batch)
+    assert loss == pytest.approx(sum(l for l, _ in singles) / B, rel=1e-12)
+    atol = 1e-12 * max(float(np.abs(g).max()) for g in grads.values())
+    for k, g in grads.items():
+        np.testing.assert_allclose(g, sum(gs[k] for _, gs in singles) / B, rtol=0, atol=atol, err_msg=k)
+
+
+def test_position_wise_layers_see_only_real_rows(monkeypatch):
+    # every encoder and decoder projection runs on the real rows of a padded
+    # batch: sum(src_len) source rows and sum(canvas_len + 2) decoder rows
+    model = tiny_model()
+    names = {id(p): k for k, p in model.params.items()}
+    seen = []
+    affine = ad.affine
+
+    def spy(x, w, b):
+        seen.append((names[id(w)], x.size // x.shape[-1]))
+        return affine(x, w, b)
+
+    monkeypatch.setattr(ad, "affine", spy)
+    batch = _padded_batch()
+    batch_loss(model, batch)
+    src_rows = sum(len(it.x) for it in batch)
+    dec_rows = sum(len(it.canvas) + 2 for it in batch)
+    assert src_rows < len(batch) * max(len(it.x) for it in batch)
+    assert dec_rows < len(batch) * (max(len(it.canvas) for it in batch) + 2)
+
+    def real_rows(name):  # cross-attention keys and values project the encoder's rows
+        return src_rows if name.startswith("enc") or ".cross.wk" in name or ".cross.wv" in name else dec_rows
+
+    layer_calls = [(name, rows) for name, rows in seen if name.startswith(("enc", "dec"))]
+    assert layer_calls == [(name, real_rows(name)) for name, _ in layer_calls]
+    # q, k, v, o and the FFN's two per encoder layer; two attention blocks plus the FFN per decoder layer
+    assert len(layer_calls) == 16 * model.config.num_layers
+
+
+def test_length_buckets_group_items_by_source_length():
+    batch = make_training_batch(tiny_dataset(), LossConfig(), np.random.default_rng(8), 32)
+    buckets = training._length_buckets(batch, 8)
+    assert [len(g) for g in buckets] == [8, 8, 8, 8]
+    assert sorted(id(it) for g in buckets for it in g) == sorted(id(it) for it in batch)
+    keys = [(len(it.x), len(it.canvas)) for g in buckets for it in g]
+    assert keys == sorted(keys)  # source length first, then canvas length
+    assert training._length_buckets(batch, 0) == [batch]
+    assert [len(g) for g in training._length_buckets(batch[:20], 8)] == [8, 8, 4]
+
+
 def test_micro_batch_size_does_not_change_the_step():
     # the loss is a weighted sum of micro-batch means, so its gradient is the
     # same weighted sum of per-micro-batch gradients, accumulated in p.grad
