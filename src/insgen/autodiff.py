@@ -258,7 +258,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         g2 = g.reshape(-1, n)
         gx = (g2 @ w.data.T).reshape(x.shape)
         gw = x.data.reshape(-1, k).T @ g2
-        gb = g2.sum(axis=0)
+        gb = np.add.reduce(g2, axis=0)
         return gx, gw, gb
 
     return _record(out, (x, w, b), bwd)
@@ -351,12 +351,17 @@ def logsumexp(a: Tensor, axis: int = 0) -> Tensor:
     return _record(out, (a,), bwd)
 
 
+def _mean_last(a: np.ndarray) -> np.ndarray:
+    """a.mean(axis=-1, keepdims=True) by ndarray.mean's own steps, without its Python wrapper."""
+    s = np.add.reduce(a, axis=-1, keepdims=True)
+    np.true_divide(s, np.intp(a.shape[-1]), out=s, casting="unsafe")
+    return s
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    # ndarray.mean's own steps, without its Python wrapper: sum, then divide by the count
-    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
-    np.true_divide(mu, np.intp(x.shape[-1]), out=mu, casting="unsafe")
+    mu = _mean_last(x.data)
     xhat = x.data - mu
     var = np.einsum("...i,...i->...", xhat, xhat)[..., None] / x.shape[-1]
     inv = 1.0 / np.sqrt(var + eps)
@@ -367,14 +372,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
     def bwd(g):
         dxhat = g * gain.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=-1, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        )
+        dx = inv * (dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat))
         lead = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=lead)
-        dbias = g.sum(axis=lead)
+        dgain = np.add.reduce(g * xhat, axis=lead)
+        dbias = np.add.reduce(g, axis=lead)
         return dx, dgain, dbias
 
     return _record(out, (x, gain, bias), bwd)
@@ -413,8 +414,12 @@ def attention(
     def split(x):  # (B, T, h) -> contiguous (B, heads, T, d)
         return np.ascontiguousarray(x.reshape(B, -1, num_heads, d).transpose(0, 2, 1, 3))
 
-    qh, kh, vh = split(qd * scale), split(kd), split(vd)
-    scores = qh @ np.swapaxes(kh, -1, -2)
+    def transposed(x):  # (..., m, n) -> contiguous (..., n, m)
+        return np.ascontiguousarray(np.swapaxes(x, -1, -2))
+
+    qh, vh = split(qd * scale), split(vd)
+    kt = np.ascontiguousarray(kd.reshape(B, Tk, num_heads, d).transpose(0, 2, 3, 1))  # (B, heads, d, Tk)
+    scores = qh @ kt
     if mask is not None:
         m = np.asarray(mask, dtype=bool)
         if m.ndim == 2:
@@ -424,7 +429,8 @@ def attention(
         ):
             raise ShapeError(f"attention mask {m.shape} does not broadcast to {(B, Tq, Tk)}")
         scores += np.where(m, 0.0, -1e9).astype(scores.dtype)[:, None, :, :]
-    scores -= scores.max(axis=-1, keepdims=True)
+    # each row's max over a key-major copy: a contiguous reduction beats a strided one, and a max is exact in any order
+    scores -= transposed(scores.reshape(-1, Tk)).max(axis=0).reshape(scores.shape[:-1] + (1,))
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
     w = scores
@@ -435,14 +441,14 @@ def attention(
     def bwd(g):
         gd = g[None] if squeeze else g
         goh = np.ascontiguousarray(gd.reshape(B, Tq, num_heads, d).transpose(0, 2, 1, 3))
-        gw = goh @ np.swapaxes(vh, -1, -2)
-        gvh = np.swapaxes(w, -1, -2) @ goh
+        gw = goh @ transposed(vh)
+        gvh = transposed(w) @ goh
         gs = gw
         gs -= np.einsum("bhij,bhij->bhi", gw, w)[..., None]
         gs *= w
-        gqh = gs @ kh
+        gqh = gs @ transposed(kt)
         gqh *= scale
-        gkh = np.swapaxes(gs, -1, -2) @ qh  # qh holds the pre-scaled queries
+        gkh = transposed(gs) @ qh  # qh holds the pre-scaled queries
 
         def merge(x):  # (B, heads, T, d) -> (B, T, h)
             return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(B, -1, h)

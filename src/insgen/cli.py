@@ -26,6 +26,7 @@ from .model import InsertionModel
 from .perf import limit_blas_threads
 from .tasks import (
     CorpusFormatError,
+    TaskSpec,
     evaluate,
     generate_datasets,
     load_corpus,
@@ -122,6 +123,8 @@ def _check_positions(config: RunConfig) -> None:
 def cmd_train(args) -> int:
     config = load_config(args.config, args.overrides)
     _check_positions(config)
+    if config.task.num_train == 0:
+        raise ConfigError("task.num_train is 0: training needs at least one pair")
     os.makedirs(args.run_dir, exist_ok=True)
     write_effective_config(os.path.join(args.run_dir, "config.effective"), config)
     train_set, dev_set = generate_datasets(config.task)
@@ -225,9 +228,9 @@ def cmd_eval(args) -> int:
         task_info = extra.get("task")
         if not task_info:
             raise ConfigError("checkpoint has no task info; pass --data")
-        from .tasks import TaskSpec
-
-        _, dataset = generate_datasets(TaskSpec(**task_info))
+        _, dataset = generate_datasets(build_section("task", TaskSpec, task_info))
+        if not dataset:
+            raise ConfigError(f"{args.checkpoint}: the task's dev split is empty (task.num_dev 0); pass --data")
     if args.limit is not None:
         dataset = dataset[: args.limit]
     if args.data is not None:

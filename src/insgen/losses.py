@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,9 +54,12 @@ class LossConfig:
             raise ValueError("binary tree temperature must be positive")
 
 
-@dataclass(frozen=True)
-class SlotTarget:
-    """Supervision for one slot: a weighted token span or a terminal token."""
+class SlotTarget(NamedTuple):
+    """Supervision for one slot: a weighted token span or a terminal token.
+
+    A train step builds one per slot, ~600 in all; a NamedTuple costs about
+    half of what a frozen dataclass does to construct.
+    """
 
     location: int
     kind: str  # "span" | "end_of_slot" | "end_of_sequence"

@@ -3,15 +3,20 @@
 Desk-scale stand-ins for a real translation corpus: copy, reverse, sort,
 and a toy translation task (bijective token substitution plus local
 reordering of adjacent pairs, gated by a content hash so the mapping stays
-a learnable function of the source). Evaluation decodes every pair and
-reports sequence accuracy, token edit distance, corpus BLEU, and the
-iteration-versus-length table used to check the logarithmic decoding
-bound.
+a learnable function of the source). Each pair is a pure function of the
+task spec and its index, like a line number in a corpus, so a split is
+generated on demand: a pair is built the first time it is read and kept by
+its split, and a run never builds a pair it does not read. Evaluation
+decodes every pair and reports sequence accuracy, token edit distance,
+corpus BLEU, and the iteration-versus-length table used to check the
+logarithmic decoding bound.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import statistics
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -42,6 +47,10 @@ class TaskSpec:
             raise ValueError("need 1 <= min_length <= max_length")
         if not 0.0 <= self.swap_probability <= 1.0:
             raise ValueError("swap_probability must be in [0, 1]")
+        if self.content_vocab_size < 1:
+            raise ValueError("content_vocab_size must be >= 1")
+        if self.num_train < 0 or self.num_dev < 0:
+            raise ValueError("num_train and num_dev must be >= 0")
 
     def vocab(self) -> Vocab:
         return content_vocab(self.content_vocab_size)
@@ -94,14 +103,38 @@ def pair_at(spec: TaskSpec, index: int) -> tuple[TokenSeq, TokenSeq]:
     return generate_pair(spec, np.random.default_rng([spec.seed, 1, index]))
 
 
-Dataset = list[tuple[TokenSeq, TokenSeq]]
+Dataset = Sequence[tuple[TokenSeq, TokenSeq]]
+
+
+class Split(Sequence):
+    """Pairs `start`, `start + 1`, ... of a task, each built on first access and kept.
+
+    Indexing, slicing, iteration and len behave as on the list of the same
+    pairs; a slice is a list. The split holds its own copy of the spec.
+    """
+
+    def __init__(self, spec: TaskSpec, start: int, length: int):
+        self.spec = dataclasses.replace(spec)
+        self.start = start
+        self._pairs: list[tuple[TokenSeq, TokenSeq] | None] = [None] * length
+
+    def __len__(self) -> int:
+        return len(self._pairs)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self._pairs)))]
+        pair = self._pairs[index]  # raises IndexError past either end
+        if pair is None:
+            if index < 0:
+                index += len(self._pairs)
+            pair = self._pairs[index] = pair_at(self.spec, self.start + index)
+        return pair
 
 
 def generate_datasets(spec: TaskSpec) -> tuple[Dataset, Dataset]:
-    """Train and dev splits; dev indices continue after train indices."""
-    train = [pair_at(spec, i) for i in range(spec.num_train)]
-    dev = [pair_at(spec, spec.num_train + j) for j in range(spec.num_dev)]
-    return train, dev
+    """Train and dev splits, generated on demand; dev indices continue after train indices."""
+    return Split(spec, 0, spec.num_train), Split(spec, spec.num_train, spec.num_dev)
 
 
 # -- corpus files ------------------------------------------------------------

@@ -62,6 +62,8 @@ class TrainConfig:
         for name in ("learning_rate", "adam_beta1", "adam_beta2", "adam_eps"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
         if self.samples_per_example < 1:
             raise ValueError("samples_per_example must be >= 1")
 

@@ -280,3 +280,58 @@ def test_train_config_longer_than_max_positions_is_a_usage_error(tmp_path, capsy
     assert captured.err.startswith("error:") and message in captured.err, captured.err
     assert "Traceback" not in captured.err
     assert not run_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        pytest.param("task.num_train=0", "task.num_train is 0", id="no-train-pairs"),
+        pytest.param("task.content_vocab_size=0", "content_vocab_size must be >= 1", id="no-content-tokens"),
+        pytest.param("train.batch_size=0", "batch_size must be >= 1", id="empty-batch"),
+    ],
+)
+def test_train_data_size_contract_is_a_usage_error(tmp_path, capsys, override, message):
+    run_dir = tmp_path / "run"
+    argv = ["train", "--run-dir", str(run_dir)]
+    for o in TINY_OVERRIDES + ["train.steps=1", override]:
+        argv += ["--set", o]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err, captured.err
+    assert "Traceback" not in captured.err
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        pytest.param({"num_dev": 0}, "dev split is empty", id="empty-dev-split"),
+        pytest.param({"content_vocab_size": 0}, "content_vocab_size must be >= 1", id="no-content-tokens"),
+    ],
+)
+def test_eval_on_a_bad_task_checkpoint_is_a_usage_error(tiny_run, tmp_path, capsys, change, message):
+    model, extra = checkpoint.load(os.path.join(tiny_run, "ckpt-8.insr"))
+    extra["task"].update(change)
+    path = str(tmp_path / "bad-task.insr")
+    checkpoint.save(path, model, extra=extra)
+    assert main(["eval", "--checkpoint", path, "--out-dir", str(tmp_path / "eval")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err, captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_eval_limit_builds_only_the_dev_pairs_it_reads(tiny_run, tmp_path, capsys, monkeypatch):
+    from insgen import tasks
+
+    built = []
+    real = tasks.pair_at
+
+    def spy(spec, index):
+        built.append(index)
+        return real(spec, index)
+
+    monkeypatch.setattr(tasks, "pair_at", spy)
+    ckpt = os.path.join(tiny_run, "ckpt-8.insr")
+    assert main(["eval", "--checkpoint", ckpt, "--limit", "4", "--out-dir", str(tmp_path / "eval")]) == 0
+    assert "items\t4" in capsys.readouterr().out
+    assert built == [40, 41, 42, 43]  # the tiny task's dev split starts after its 40 train pairs

@@ -1,6 +1,7 @@
 """Task generators, corpus files, and metric correctness."""
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from insgen import tasks
 from insgen.tasks import (
+    KINDS,
     CorpusFormatError,
     TaskSpec,
     corpus_bleu,
     edit_distance,
+    generate_datasets,
     generate_pair,
     load_corpus,
     pair_at,
@@ -108,6 +112,91 @@ def test_toy_translation_swap_rate_near_probability():
         total += len(y)
     rate = changed / total
     assert 0.05 < rate < 0.35  # two positions move per swap
+
+
+def _split_spec(kind: str) -> TaskSpec:
+    return TaskSpec(kind=kind, content_vocab_size=8, max_length=6, seed=3, num_train=23, num_dev=7)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_splits_read_like_the_eager_lists(kind):
+    spec = _split_spec(kind)
+    eager = {
+        0: [pair_at(spec, i) for i in range(spec.num_train)],
+        1: [pair_at(spec, spec.num_train + j) for j in range(spec.num_dev)],
+    }
+    slices = [
+        slice(None), slice(2, 5), slice(None, None, 3), slice(-4, None), slice(5, 1, -1),
+        slice(None, None, -2), slice(1, 100), slice(-100, 3), slice(40, 50), slice(3, 3),
+    ]
+    for part, ref in eager.items():
+        n = len(ref)
+
+        def fresh():  # a new split per check, so no check leans on pairs another one built
+            return generate_datasets(spec)[part]
+
+        assert len(fresh()) == n
+        split = fresh()
+        assert [split[i] for i in range(n)] == ref
+        split = fresh()
+        assert [split[-i] for i in range(1, n + 1)] == [ref[-i] for i in range(1, n + 1)]
+        for sl in slices:
+            assert fresh()[sl] == ref[sl], sl
+        assert list(fresh()) == ref
+        split = fresh()
+        assert list(split) == list(split) == ref  # a second pass reads the kept pairs
+        for bad in (n, n + 5, -n - 1):
+            with pytest.raises(IndexError):
+                fresh()[bad]
+
+
+def test_split_builds_each_pair_at_most_once(monkeypatch):
+    calls = Counter()
+    real = tasks.pair_at
+
+    def spy(spec, index):
+        calls[index] += 1
+        return real(spec, index)
+
+    monkeypatch.setattr(tasks, "pair_at", spy)
+    spec = _split_spec("toy_translation")
+    train, dev = generate_datasets(spec)
+    assert not calls  # nothing is built until it is read
+    for _ in range(2):
+        train[3], train[-1], dev[0], dev[-7]
+        train[2:6], dev[::2]
+        list(train)
+    assert set(calls) == set(range(spec.num_train)) | {23, 25, 27, 29}
+    assert max(calls.values()) == 1
+
+
+def test_split_keeps_its_own_copy_of_the_spec():
+    spec = _split_spec("copy")
+    train, _ = generate_datasets(spec)
+    ref = [pair_at(spec, i) for i in range(spec.num_train)]
+    spec.seed, spec.max_length = 99, 2
+    assert list(train) == ref
+
+
+def test_empty_split():
+    train, dev = generate_datasets(TaskSpec(num_train=0, num_dev=2))
+    assert len(train) == 0 and not train and list(train) == [] and train[:3] == []
+    with pytest.raises(IndexError):
+        train[0]
+    assert len(dev) == 2
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        pytest.param({"content_vocab_size": 0}, id="no-content-tokens"),
+        pytest.param({"num_train": -1}, id="negative-num-train"),
+        pytest.param({"num_dev": -3}, id="negative-num-dev"),
+    ],
+)
+def test_task_spec_rejects_bad_sizes(fields):
+    with pytest.raises(ValueError):
+        TaskSpec(**fields)
 
 
 def test_corpus_round_trip(tmp_path):

@@ -13,7 +13,7 @@ from insgen.config import load_config
 from insgen.decoding import DecodeConfig, decode
 from insgen.losses import LossConfig
 from insgen.model import InsertionModel, ModelConfig
-from insgen.tasks import TaskSpec, generate_datasets
+from insgen.tasks import TaskSpec, generate_datasets, pair_at
 from insgen.training import (
     BatchItem,
     OptimizerState,
@@ -64,6 +64,22 @@ def test_make_training_batch_left_to_right_prefixes():
     for item in batch:
         assert item.canvas == item.y[: len(item.canvas)]
         assert len(item.targets) == 1
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        pytest.param(LossConfig(), id="binary_tree"),
+        pytest.param(LossConfig(order="left_to_right", termination="sequence"), id="left_to_right"),
+    ],
+)
+def test_training_batch_from_a_split_equals_the_batch_from_its_list(config):
+    spec = TaskSpec(kind="reverse", content_vocab_size=8, max_length=6, seed=5, num_train=40, num_dev=4)
+    split, _ = generate_datasets(spec)
+    eager = [pair_at(spec, i) for i in range(spec.num_train)]
+    for seed in range(3):
+        batch = make_training_batch(split, config, np.random.default_rng(seed), 16)
+        assert batch == make_training_batch(eager, config, np.random.default_rng(seed), 16)
 
 
 def test_make_training_batch_complete_canvas_targets_end_of_slot():
