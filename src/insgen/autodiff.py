@@ -208,27 +208,19 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product a @ b; operands at least 2-D, inner dims must agree."""
+    """Matrix product (..., k) @ (k, n), as one GEMM over a's rows."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ShapeError(f"matmul needs >=2-D operands, got {a.shape} and {b.shape}")
+    if a.data.ndim < 2 or b.data.ndim != 2:
+        raise ShapeError(f"matmul needs (..., k) @ (k, n) operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-    folded = a.data.ndim > 2 and b.data.ndim == 2  # one GEMM beats a batched loop
-    if folded:
-        k, n = b.shape
-        out = Tensor((a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (n,)))
-    else:
-        out = Tensor(a.data @ b.data)
+    k, n = b.shape
+    out = Tensor((a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (n,)))
 
     def bwd(g):
-        if folded:
-            g2 = g.reshape(-1, b.shape[1])
-            ga = (g2 @ b.data.T).reshape(a.shape)
-            gb = a.data.reshape(-1, a.shape[-1]).T @ g2
-            return ga, gb
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        g2 = g.reshape(-1, n)
+        ga = (g2 @ b.data.T).reshape(a.shape)
+        gb = a.data.reshape(-1, k).T @ g2
         return ga, gb
 
     return _record(out, (a, b), bwd)
@@ -390,26 +382,22 @@ def attention(
 ) -> Tensor:
     """Fused scaled-dot-product attention: softmax(QK^T / sqrt(d)) V per head.
 
-    q: (..., Tq, h), k/v: (..., Tk, h) with h divisible by num_heads.
+    q: (B, Tq, h), k/v: (B, Tk, h) with h divisible by num_heads.
     mask, when given, is boolean with True marking visible keys and must
-    broadcast to (..., Tq, Tk); with mask=None every position attends to
+    broadcast to (B, Tq, Tk); with mask=None every position attends to
     every position.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if q.shape[-1] != k.shape[-1] or k.shape != v.shape:
+    if q.data.ndim != 3 or q.shape[::2] != k.shape[::2] or k.shape != v.shape:  # (B, h) of q and k agree
         raise ShapeError(f"attention shapes disagree: q{q.shape} k{k.shape} v{v.shape}")
     h = q.shape[-1]
     if h % num_heads != 0:
         raise ShapeError(f"model width {h} not divisible by {num_heads} heads")
     d = h // num_heads
 
-    squeeze = q.data.ndim == 2
-    qd = q.data[None] if squeeze else q.data
-    kd = k.data[None] if squeeze else k.data
-    vd = v.data[None] if squeeze else v.data
-    B, Tq, _ = qd.shape
-    Tk = kd.shape[1]
-    scale = qd.dtype.type(1.0 / math.sqrt(d))
+    B, Tq, _ = q.shape
+    Tk = k.shape[1]
+    scale = q.data.dtype.type(1.0 / math.sqrt(d))
 
     def split(x):  # (B, T, h) -> contiguous (B, heads, T, d)
         return np.ascontiguousarray(x.reshape(B, -1, num_heads, d).transpose(0, 2, 1, 3))
@@ -417,13 +405,11 @@ def attention(
     def transposed(x):  # (..., m, n) -> contiguous (..., n, m)
         return np.ascontiguousarray(np.swapaxes(x, -1, -2))
 
-    qh, vh = split(qd * scale), split(vd)
-    kt = np.ascontiguousarray(kd.reshape(B, Tk, num_heads, d).transpose(0, 2, 3, 1))  # (B, heads, d, Tk)
+    qh, vh = split(q.data * scale), split(v.data)
+    kt = np.ascontiguousarray(k.data.reshape(B, Tk, num_heads, d).transpose(0, 2, 3, 1))  # (B, heads, d, Tk)
     scores = qh @ kt
     if mask is not None:
         m = np.asarray(mask, dtype=bool)
-        if m.ndim == 2:
-            m = m[None]
         if m.ndim != 3 or any(
             ms not in (1, full) for ms, full in zip(m.shape, (B, Tq, Tk))
         ):
@@ -436,11 +422,10 @@ def attention(
     w = scores
     oh = w @ vh
     out_data = np.ascontiguousarray(oh.transpose(0, 2, 1, 3)).reshape(B, Tq, h)
-    out = Tensor(out_data[0] if squeeze else out_data)
+    out = Tensor(out_data)
 
     def bwd(g):
-        gd = g[None] if squeeze else g
-        goh = np.ascontiguousarray(gd.reshape(B, Tq, num_heads, d).transpose(0, 2, 1, 3))
+        goh = np.ascontiguousarray(g.reshape(B, Tq, num_heads, d).transpose(0, 2, 1, 3))
         gw = goh @ transposed(vh)
         gvh = transposed(w) @ goh
         gs = gw
@@ -453,10 +438,7 @@ def attention(
         def merge(x):  # (B, heads, T, d) -> (B, T, h)
             return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(B, -1, h)
 
-        gq, gk, gv = merge(gqh), merge(gkh), merge(gvh)
-        if squeeze:
-            gq, gk, gv = gq[0], gk[0], gv[0]
-        return gq, gk, gv
+        return merge(gqh), merge(gkh), merge(gvh)
 
     return _record(out, (q, k, v), bwd)
 

@@ -1,10 +1,10 @@
 """Insertion decoding with trace capture: one loop for serial and parallel mode.
 
-A policy has two calls: `encode(x)` returns a memory handle, and
-`log_probs(memory, canvas)` scores a canvas against it. The loop encodes
+A policy has two calls: `encode(x)` returns a source handle, and
+`log_probs(source, canvas)` scores a canvas against it. The loop encodes
 once per sentence and hands the same handle to every iteration; the model's
-handle holds the encoder output, its key mask and each decoder layer's
-cross-attention keys and values, so the source side is computed once.
+handle is `(cross, src_mask)`, each decoder layer's cross-attention keys
+and values plus their key mask, so the source side is computed once.
 
 Each iteration scores the current canvas once and the mode picks the step.
 Greedy (serial) mode takes the single best (content, location) action.
@@ -160,11 +160,11 @@ def decode(policy, x: TokenSeq, config: DecodeConfig) -> tuple[TokenSeq, DecodeT
             "predictions as per-slot stops",
             stacklevel=2,
         )
-    memory = policy.encode(x)
+    source = policy.encode(x)
     canvas: TokenSeq = ()
     trace = DecodeTrace()
     while True:
-        logp = policy.log_probs(memory, canvas)
+        logp = policy.log_probs(source, canvas)
         if config.mode == "greedy":
             records, terminal = greedy_step(logp, config.termination, config.eos_penalty)
         else:

@@ -22,16 +22,14 @@ into zero-padded (B, T, h) slabs with a key mask and gathers the real output
 rows back. When nothing is padded (every decode call) the row index and the
 mask are None, the layers run on the (B, T, h) slab itself, and no row moves.
 
-The source side never changes while a sentence decodes, so `encode` returns
-a memory handle `(memory, src_mask, cross)`: the encoder output (1, S, h),
-its key mask (None, since one source has no padding) and `cross`, each
-decoder layer's cross-attention (keys, values) of the memory. `log_probs`
-passes `cross` to `slot_matrix_batch`, which computes it itself when not
-given (as in training), so decoding runs the same decoder path without
-re-projecting the memory on every iteration. `cross_kv` projects the keys
-and values from the memory's real rows and pads them once per layer. The
-handle is a plain value the caller holds; the model keeps no state between
-calls.
+The decoder reads a source only through cross-attention, so `encode_batch`
+returns just that: `(cross, src_mask)`, each decoder layer's cross-attention
+(keys, values) slabs (B, S, h), projected from the encoder's real rows, and
+the sources' key mask (None when no source is padded). `slot_matrix_batch`
+takes the pair as given. `encode` returns it for one source, and a decode
+loop hands it to every iteration, so the source side is computed once per
+sentence. The pair is a plain value the caller holds; the model keeps no
+state between calls.
 """
 
 from __future__ import annotations
@@ -201,12 +199,14 @@ class InsertionModel:
 
     # -- encoder ------------------------------------------------------------
 
-    def encode_batch(self, src: np.ndarray, src_len: np.ndarray) -> tuple[Tensor, np.ndarray | None]:
-        """Contextualize padded sources (B, S); returns memory and key mask (B, 1, S).
+    def encode_batch(
+        self, src: np.ndarray, src_len: np.ndarray
+    ) -> tuple[list[tuple[Tensor, Tensor]], np.ndarray | None]:
+        """What the decoder reads of padded sources (B, S): `(cross, src_mask)`.
 
-        The memory holds the sources' real rows, (sum(src_len), h) in
-        row-major order of the mask. When no source is padded (every
-        src_len == S) the mask is None and the memory is the (B, S, h) slab.
+        `cross` holds each decoder layer's cross-attention (keys, values),
+        (B, S, h) slabs projected from the encoder output's real rows.
+        `src_mask` is the key mask (B, 1, S), None when every src_len == S.
         """
         B, S = src.shape
         if S > self.config.max_positions:
@@ -216,38 +216,24 @@ class InsertionModel:
         for i in range(self.config.num_layers):
             x = self._norm(f"enc{i}.ln1", ad.add(x, self._attn(f"enc{i}.attn", x, layout, mask)))
             x = self._norm(f"enc{i}.ln2", ad.add(x, self._ffn_apply(f"enc{i}.ffn", x)))
-        return x, mask
+        return [self._kv(f"dec{i}.cross", x, layout) for i in range(self.config.num_layers)], mask
 
     # -- decoder / slot matrix ----------------------------------------------
 
-    def cross_kv(self, memory: Tensor, src_mask: np.ndarray | None = None) -> list[tuple[Tensor, Tensor]]:
-        """Each decoder layer's cross-attention (keys, values) of `memory`, padded to (B, S, h) slabs.
-
-        `memory` and `src_mask` are what `encode_batch` returned: the real
-        rows plus their mask, or the slab and None.
-        """
-        if src_mask is None:
-            layout = (None, memory.shape[:-1])
-        else:
-            B, _, S = src_mask.shape
-            layout = (np.flatnonzero(src_mask), (B, S))
-        return [self._kv(f"dec{i}.cross", memory, layout) for i in range(self.config.num_layers)]
-
     def slot_matrix_batch(
         self,
-        memory: Tensor,
+        cross: list[tuple[Tensor, Tensor]],
         src_mask: np.ndarray | None,
         canvas: np.ndarray,
         canvas_len: np.ndarray,
-        cross: list[tuple[Tensor, Tensor]] | None = None,
     ) -> tuple[Tensor, np.ndarray]:
         """Slot representations for padded canvases (B, C).
 
         Decoder input is [left-marker] + canvas + [right-marker]; its
-        self-attention is fully unmasked across real positions. `cross` is
-        `cross_kv(memory, src_mask)`, computed here when not given. Returns
-        H (B, C+1, d_model) and the boolean slot validity mask (B, C+1)
-        (slot l is valid iff l <= canvas length).
+        self-attention is fully unmasked across real positions. `cross` and
+        `src_mask` are what `encode_batch` returned. Returns H (B, C+1,
+        d_model) and the boolean slot validity mask (B, C+1) (slot l is
+        valid iff l <= canvas length).
         """
         B, C = canvas.shape
         if C + 2 > self.config.max_positions:
@@ -260,8 +246,6 @@ class InsertionModel:
         ids[:, 1 : C + 1] = canvas
         ids[np.arange(B), canvas_len + 1] = RIGHT_MARK
         layout, key_mask = _layout(canvas_len + 2, C + 2)
-        if cross is None:
-            cross = self.cross_kv(memory, src_mask)
 
         x = self._embed_positions(ids, layout)
         for i in range(self.config.num_layers):
@@ -339,16 +323,13 @@ class InsertionModel:
     # -- single-sequence convenience (inference) ------------------------------
 
     def encode(self, x: TokenSeq):
-        """Encode one source sequence; returns the handle (memory, src_mask, cross_kv(memory))."""
-        src = np.asarray([list(x)], dtype=np.int64)
-        memory, mask = self.encode_batch(src, np.array([len(x)]))
-        return memory, mask, self.cross_kv(memory)
+        """Encode one source sequence; returns the `encode_batch` pair (cross, src_mask)."""
+        return self.encode_batch(np.asarray([list(x)], dtype=np.int64), np.array([len(x)]))
 
-    def log_probs(self, memory, canvas: TokenSeq) -> np.ndarray:
-        """Joint log p(c, l) for one canvas, given the handle `encode` returned: ndarray (T+1, vocab)."""
-        mem, src_mask, cross = memory
+    def log_probs(self, source, canvas: TokenSeq) -> np.ndarray:
+        """Joint log p(c, l) for one canvas, given the pair `encode` returned: ndarray (T+1, vocab)."""
         ids = np.asarray([canvas], dtype=np.int64).reshape(1, len(canvas))
-        H, slot_mask = self.slot_matrix_batch(mem, src_mask, ids, np.array([len(canvas)]), cross)
+        H, slot_mask = self.slot_matrix_batch(*source, ids, np.array([len(canvas)]))
         return self.joint_log_probs_batch(H, slot_mask).data[0]
 
 

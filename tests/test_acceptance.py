@@ -58,8 +58,9 @@ def test_trained_model_parallel_iterations_sit_at_the_log_bound(trained):
 class TrainingPathPolicy:
     """The model's decode surface rebuilt on the batched calls training makes.
 
-    Its memory handle holds no cross-attention keys and values, so every
-    `slot_matrix_batch` call projects the memory itself, as in training.
+    Its handle is what `encode_batch` returns for a batch of one source, and
+    every iteration passes it to `slot_matrix_batch` and the head, as a
+    training forward does.
     """
 
     def __init__(self, model):
@@ -85,6 +86,37 @@ def test_decoding_with_the_cross_kv_handle_matches_the_training_path(trained, mo
                            "num_train": 0, "num_dev": 2})
         for x, _ in generate_datasets(spec)[1]:
             assert decode(model, x, config) == decode(reference, x, config), x
+
+
+def _decode_record(x, out, trace) -> dict:
+    """A decode as the pinned file holds it: logprobs left out, so BLAS rounding cannot move it."""
+    return {
+        "source": list(x),
+        "output": list(out),
+        "truncated": trace.truncated,
+        "steps": [
+            {"actions": [[c, l] for c, l, _ in s.actions], "terminal": list(s.terminal[:2]) if s.terminal else None}
+            for s in trace.steps
+        ],
+    }
+
+
+@pytest.mark.parametrize("mode", ["greedy", "parallel"])
+def test_trained_model_decodes_equal_the_pinned_file(trained, mode):
+    # outputs, truncated flags and every step's (content, location) records of the iteration gate's sentences
+    model, extra, beta = trained
+    with open(os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "copy-btree-decodes.json")) as f:
+        pinned = json.load(f)
+    assert (pinned["beta"], pinned["seed"]) == (beta, SEED)
+    config = DecodeConfig(mode=mode, eos_penalty=beta, termination=extra["loss"]["termination"])
+    got = []
+    for n in range(1, 33):
+        spec = TaskSpec(**{**extra["task"], "min_length": n, "max_length": n, "seed": SEED * 1000 + n,
+                           "num_train": 0, "num_dev": 2})
+        got += [_decode_record(x, *decode(model, x, config)) for x, _ in generate_datasets(spec)[1]]
+    assert len(got) == len(pinned[mode]) == 64
+    for i, (record, expected) in enumerate(zip(got, pinned[mode])):
+        assert record == expected, f"sentence {i} (source {record['source']}) differs from the pinned decode"
 
 
 def balanced_tree_schedule(n: int) -> list[list[int]]:

@@ -101,27 +101,27 @@ def test_log_softmax_gradcheck():
 
 def test_attention_single_position_returns_value_row():
     rng = np.random.default_rng(4)
-    q = ad.tensor(rng.normal(size=(1, 4)))
-    k = ad.tensor(rng.normal(size=(1, 4)))
-    v = ad.tensor(rng.normal(size=(1, 4)))
+    q = ad.tensor(rng.normal(size=(1, 1, 4)))
+    k = ad.tensor(rng.normal(size=(1, 1, 4)))
+    v = ad.tensor(rng.normal(size=(1, 1, 4)))
     out = ad.attention(q, k, v, num_heads=2)
     np.testing.assert_allclose(out.data, v.data, atol=1e-12)
 
 
 def test_attention_zero_logits_averages_values():
-    v = ad.tensor(np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
-    q = ad.tensor(np.zeros((2, 2)))
-    k = ad.tensor(np.zeros((3, 2)))
+    v = ad.tensor(np.array([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]]))
+    q = ad.tensor(np.zeros((1, 2, 2)))
+    k = ad.tensor(np.zeros((1, 3, 2)))
     out = ad.attention(q, k, v)
-    np.testing.assert_allclose(out.data, np.tile(v.data.mean(axis=0), (2, 1)), atol=1e-12)
+    np.testing.assert_allclose(out.data[0], np.tile(v.data[0].mean(axis=0), (2, 1)), atol=1e-12)
 
 
 def test_attention_gradcheck_two_heads():
     rng = np.random.default_rng(5)
-    q = ad.tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    k = ad.tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    v = ad.tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    w = rng.normal(size=(3, 4))
+    q = ad.tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
+    k = ad.tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
+    v = ad.tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
+    w = rng.normal(size=(1, 3, 4))
     _gradcheck(
         lambda: ad.tsum(ad.mul(ad.attention(q, k, v, num_heads=2), w)), [q, k, v], tol=1e-5
     )
@@ -129,29 +129,29 @@ def test_attention_gradcheck_two_heads():
 
 def test_attention_mask_blocks_keys():
     rng = np.random.default_rng(6)
-    k = ad.tensor(rng.normal(size=(3, 2)))
-    v = ad.tensor(rng.normal(size=(3, 2)))
-    q = ad.tensor(rng.normal(size=(1, 2)))
-    mask = np.array([[True, True, False]])
+    k = ad.tensor(rng.normal(size=(1, 3, 2)))
+    v = ad.tensor(rng.normal(size=(1, 3, 2)))
+    q = ad.tensor(rng.normal(size=(1, 1, 2)))
+    mask = np.array([[[True, True, False]]])
     out = ad.attention(q, k, v, mask=mask)
-    out_trunc = ad.attention(q, ad.tensor(k.data[:2]), ad.tensor(v.data[:2]))
+    out_trunc = ad.attention(q, ad.tensor(k.data[:, :2]), ad.tensor(v.data[:, :2]))
     np.testing.assert_allclose(out.data, out_trunc.data, atol=1e-9)
 
 
 def test_attention_mask_shape_mismatch_errors():
-    q = ad.tensor(np.zeros((2, 2)))
-    kv = ad.tensor(np.zeros((3, 2)))
+    q = ad.tensor(np.zeros((1, 2, 2)))
+    kv = ad.tensor(np.zeros((1, 3, 2)))
     with pytest.raises(ad.ShapeError):
-        ad.attention(q, kv, kv, mask=np.ones((5, 4), dtype=bool))
+        ad.attention(q, kv, kv, mask=np.ones((1, 5, 4), dtype=bool))
 
 
 def test_attention_masked_gradcheck():
     rng = np.random.default_rng(7)
-    q = ad.tensor(rng.normal(size=(2, 4)), requires_grad=True)
-    k = ad.tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    v = ad.tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    mask = np.array([[True, False, True], [True, True, True]])
-    w = rng.normal(size=(2, 4))
+    q = ad.tensor(rng.normal(size=(1, 2, 4)), requires_grad=True)
+    k = ad.tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
+    v = ad.tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
+    mask = np.array([[[True, False, True], [True, True, True]]])
+    w = rng.normal(size=(1, 2, 4))
     _gradcheck(
         lambda: ad.tsum(ad.mul(ad.attention(q, k, v, num_heads=2, mask=mask), w)),
         [q, k, v],
@@ -292,12 +292,13 @@ def test_ops_stay_finite_on_bounded_inputs(seed):
     y = ad.tensor(rng.uniform(-1e3, 1e3, size=(4, 3)))
     gain = ad.tensor(np.ones(4))
     bias = ad.tensor(np.zeros(4))
+    batch = ad.tensor(x.data[None])
     for out in (
         ad.matmul(x, y),
         ad.softmax(x, axis=-1),
         ad.log_softmax(x, axis=-1),
         ad.layer_norm(x, gain, bias),
-        ad.attention(x, x, x, num_heads=2),
+        ad.attention(batch, batch, batch, num_heads=2),
         ad.relu(x),
         ad.tanh(x),
     ):

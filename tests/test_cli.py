@@ -69,6 +69,13 @@ def test_unknown_key_exit_code(tmp_path):
     assert main(["train", "--run-dir", str(tmp_path / "x"), "--set", "loss.tmperature=1"]) == 1
 
 
+@pytest.mark.parametrize("override", ["train.samples_per_example=2", "train.micro_batch=16"])
+def test_removed_train_knobs_are_unknown_keys(tmp_path, capsys, override):
+    assert main(["train", "--run-dir", str(tmp_path / "x"), "--set", override]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"unknown key {override.split('=')[0]!r}" in err, err
+
+
 def test_decode_inline_tokens(tiny_run, capsys):
     ckpt = os.path.join(tiny_run, "ckpt-8.insr")
     assert main(["decode", "--checkpoint", ckpt, "--tokens", "w0 w1 w2", "--mode", "greedy"]) == 0

@@ -41,23 +41,26 @@ def _joint(model, x, canvas):
     return model.log_probs(model.encode(x), canvas)
 
 
-def _slots(model, memory, canvas) -> np.ndarray:
+def _slots(model, source, canvas) -> np.ndarray:
     """Slot matrix (T+1, d_model) of one canvas through the batched decoder."""
     ids = np.asarray([list(canvas)], dtype=np.int64).reshape(1, len(canvas))
-    H, _ = model.slot_matrix_batch(memory[0], memory[1], ids, np.array([len(canvas)]))
+    H, _ = model.slot_matrix_batch(*source, ids, np.array([len(canvas)]))
     return H.data[0]
 
 
 def test_encode_shape_contract():
-    model = make_model()
-    memory = model.encode((7, 8, 9))[0]
-    assert memory.shape == (1, 3, 16)
+    # one (keys, values) pair of (1, S, h) slabs per decoder layer, and no key mask
+    model = make_model(num_layers=2)
+    cross, src_mask = model.encode((7, 8, 9))
+    assert src_mask is None and len(cross) == 2
+    for keys, values in cross:
+        assert keys.shape == values.shape == (1, 3, 16)
 
 
 def test_encode_position_sensitivity():
     model = make_model()
-    memory = model.encode((7, 7))[0]
-    rows = memory.data[0]
+    cross, _ = model.encode((7, 7))
+    rows = cross[0][0].data[0]  # the first decoder layer's cross keys
     assert not np.allclose(rows[0], rows[1])
 
 
@@ -69,38 +72,35 @@ def test_encode_rejects_overlong_input():
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=lambda v: "-".join(f"{k}={v[k]}" for k in v))
 def test_log_probs_on_the_encode_handle_equals_the_training_path(variant):
-    # encode's handle carries each decoder layer's cross-attention K/V; without
-    # them slot_matrix_batch projects the memory itself, as in training
+    # the single-source calls decoding makes equal the batched calls training makes, at B = 1
     model = make_model(num_layers=2, **variant)
     x, canvas = (6, 7, 8), (9, 10)
-    memory, src_mask, cross = model.encode(x)
-    assert src_mask is None and len(cross) == 2
-    mem, mask = model.encode_batch(np.array([x]), np.array([len(x)]))
-    H, slot_mask = model.slot_matrix_batch(mem, mask, np.array([canvas]), np.array([len(canvas)]))
+    cross, src_mask = model.encode_batch(np.array([x]), np.array([len(x)]))
+    H, slot_mask = model.slot_matrix_batch(cross, src_mask, np.array([canvas]), np.array([len(canvas)]))
     expected = model.joint_log_probs_batch(H, slot_mask).data[0]
-    assert np.array_equal(model.log_probs((memory, src_mask, cross), canvas), expected)
+    assert np.array_equal(model.log_probs(model.encode(x), canvas), expected)
 
 
 def test_slot_matrix_row_counts():
     model = make_model()
-    memory = model.encode((7, 8))
-    assert _slots(model, memory, ()).shape == (1, 16)
-    assert _slots(model, memory, (7, 8, 9, 10)).shape == (5, 16)
+    source = model.encode((7, 8))
+    assert _slots(model, source, ()).shape == (1, 16)
+    assert _slots(model, source, (7, 8, 9, 10)).shape == (5, 16)
 
 
 def test_slot_matrix_rejects_overlong_canvas():
     model = make_model()
-    memory = model.encode((7,))
+    source = model.encode((7,))
     with pytest.raises(ValueError, match="max_positions"):
-        _slots(model, memory, (7,) * 15)
+        _slots(model, source, (7,) * 15)
 
 
 def test_insertion_changes_every_slot_row():
     # no causal cache is possible: all decoder states depend on the whole canvas
     model = make_model()
-    memory = model.encode((7, 8))
-    before = _slots(model, memory, (7, 8))
-    after = _slots(model, memory, (7, 9, 8))
+    source = model.encode((7, 8))
+    before = _slots(model, source, (7, 8))
+    after = _slots(model, source, (7, 9, 8))
     # compare the two slots flanking the untouched first token
     assert not np.allclose(before[0], after[0])
     assert not np.allclose(before[1], after[1])
@@ -108,12 +108,12 @@ def test_insertion_changes_every_slot_row():
 
 def test_distribution_reacts_to_any_canvas_token():
     model = make_model()
-    memory = model.encode((7, 8, 9))
+    source = model.encode((7, 8, 9))
     base = _joint(model, (7, 8, 9), (7, 8, 9))
     for pos, repl in [(0, 10), (2, 10)]:
         toks = [7, 8, 9]
         toks[pos] = repl
-        changed = model.log_probs(memory, tuple(toks))
+        changed = model.log_probs(source, tuple(toks))
         # every slot's distribution moves, including slots far from the edit
         for slot in range(4):
             assert not np.allclose(base[slot], changed[slot], atol=1e-9)
@@ -146,10 +146,8 @@ def test_joint_uniform_when_logits_zero():
 
 def test_renormalized_conditional_equals_row_softmax():
     model = make_model()
-    memory = model.encode((6, 7, 8))
-    H, slot_mask = model.slot_matrix_batch(
-        memory[0], memory[1], np.array([[9, 10]]), np.array([2])
-    )
+    source = model.encode((6, 7, 8))
+    H, slot_mask = model.slot_matrix_batch(*source, np.array([[9, 10]]), np.array([2]))
     joint = model.joint_log_probs_batch(H, slot_mask).data[0]
     cond = conditional_log_probs(joint)
     logits = (H.data[0] @ model.params["out.w"].data)
@@ -159,10 +157,8 @@ def test_renormalized_conditional_equals_row_softmax():
 
 def test_factorized_factors_normalize():
     model = make_model(head_variant="factorized")
-    memory = model.encode((6, 7))
-    H, slot_mask = model.slot_matrix_batch(
-        memory[0], memory[1], np.array([[8, 9, 10]]), np.array([3])
-    )
+    source = model.encode((6, 7))
+    H, slot_mask = model.slot_matrix_batch(*source, np.array([[8, 9, 10]]), np.array([3]))
     joint = model.joint_log_probs_batch(H, slot_mask).data[0]
     p_loc = np.exp(model.location_log_probs_batch(H, slot_mask).data[0])
     assert abs(p_loc.sum() - 1.0) < 1e-6
@@ -172,8 +168,8 @@ def test_factorized_factors_normalize():
 
 def test_factorized_single_slot_location_prob_one():
     model = make_model(head_variant="factorized")
-    memory = model.encode((6,))
-    H, slot_mask = model.slot_matrix_batch(memory[0], memory[1], np.zeros((1, 0), dtype=np.int64), np.array([0]))
+    source = model.encode((6,))
+    H, slot_mask = model.slot_matrix_batch(*source, np.zeros((1, 0), dtype=np.int64), np.array([0]))
     p_loc = np.exp(model.location_log_probs_batch(H, slot_mask).data[0])
     np.testing.assert_allclose(p_loc, [1.0], atol=1e-12)
 
@@ -224,8 +220,8 @@ def _row_softmax(logits: np.ndarray) -> np.ndarray:
 
 def test_mos_sums_to_one_and_matches_hand_mixture():
     model = make_model(head_variant="factorized", mos_components=2)
-    memory = model.encode((6, 7))
-    H, slot_mask = model.slot_matrix_batch(memory[0], memory[1], np.array([[8]]), np.array([1]))
+    source = model.encode((6, 7))
+    H, slot_mask = model.slot_matrix_batch(*source, np.array([[8]]), np.array([1]))
     joint = model.joint_log_probs_batch(H, slot_mask).data[0]
     assert abs(np.exp(joint).sum() - 1.0) < 1e-6
 
@@ -242,12 +238,12 @@ def test_mos_sums_to_one_and_matches_hand_mixture():
 
 def test_mos_forced_prior_selects_component():
     model = make_model(head_variant="factorized", mos_components=2)
-    memory = model.encode((6, 7))
-    h = _slots(model, memory, ())[0]
+    source = model.encode((6, 7))
+    h = _slots(model, source, ())[0]
     # point the prior at component 0 for this slot vector: h . p0 = 50, h . p1 = 0
     model.params["out.mos_prior"].data[:] = 0.0
     model.params["out.mos_prior"].data[:, 0] = 50.0 * h / (h @ h)
-    joint = model.log_probs(memory, ())
+    joint = model.log_probs(source, ())
     cond = conditional_log_probs(joint)
     z0 = np.tanh(h @ model.params["out.mos0.w"].data + model.params["out.mos0.b"].data)
     expected = _row_softmax((z0 @ model.params["out.w"].data)[None, :])
@@ -265,8 +261,8 @@ def test_batched_and_single_paths_agree():
         canvas[b, : len(c)] = c
     for variant in ALL_VARIANTS:
         model = make_model(**variant)
-        memory, src_mask = model.encode_batch(src, np.array([3, 2, 1]))
-        H, slot_mask = model.slot_matrix_batch(memory, src_mask, canvas, np.array([2, 1, 0]))
+        cross, src_mask = model.encode_batch(src, np.array([3, 2, 1]))
+        H, slot_mask = model.slot_matrix_batch(cross, src_mask, canvas, np.array([2, 1, 0]))
         joint = model.joint_log_probs_batch(H, slot_mask).data
         for b, (x, c) in enumerate(zip(xs, canvases)):
             np.testing.assert_allclose(joint[b, : len(c) + 1], _joint(model, x, c), atol=1e-9, err_msg=str(variant))

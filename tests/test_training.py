@@ -66,6 +66,12 @@ def test_make_training_batch_left_to_right_prefixes():
         assert len(item.targets) == 1
 
 
+@pytest.mark.parametrize("batch_size", [1, 2, 10, 63, 64])
+def test_make_training_batch_holds_batch_size_items(batch_size):
+    batch = make_training_batch(tiny_dataset(), LossConfig(), np.random.default_rng(batch_size), batch_size)
+    assert len(batch) == batch_size
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -159,8 +165,7 @@ def test_batch_loss_matches_per_item_reference():
 
     ref_losses = []
     for item in batch:
-        memory = model.encode(item.x)
-        logp = model.log_probs(memory, item.canvas)
+        logp = model.log_probs(model.encode(item.x), item.canvas)
         ref_losses.append(numpy_item_loss(logp, item.y, item.targets))
     assert got == pytest.approx(float(np.mean(ref_losses)), abs=1e-9)
 
@@ -231,7 +236,7 @@ def test_float32_model_computes_in_float32(monkeypatch):
     monkeypatch.setattr(training, "Tape", RecordingTape)
     model = tiny_model(dtype="float32")
     batch = make_training_batch(tiny_dataset(), LossConfig(), np.random.default_rng(0), 16)
-    loss = train_step(model, batch, OptimizerState.for_model(model), TrainConfig(micro_batch=8))
+    loss = train_step(model, batch, OptimizerState.for_model(model), TrainConfig())
     assert math.isfinite(loss)
     assert len(tapes) == 2
     for tape in tapes:
@@ -416,19 +421,19 @@ def test_length_buckets_group_items_by_source_length():
     assert sorted(id(it) for g in buckets for it in g) == sorted(id(it) for it in batch)
     keys = [(len(it.x), len(it.canvas)) for g in buckets for it in g]
     assert keys == sorted(keys)  # source length first, then canvas length
-    assert training._length_buckets(batch, 0) == [batch]
+    assert training._length_buckets(batch, 32) == [batch]
     assert [len(g) for g in training._length_buckets(batch[:20], 8)] == [8, 8, 4]
 
 
-def test_micro_batch_size_does_not_change_the_step():
+def test_micro_batch_size_does_not_change_the_step(monkeypatch):
     # the loss is a weighted sum of micro-batch means, so its gradient is the
     # same weighted sum of per-micro-batch gradients, accumulated in p.grad
     batch = make_training_batch(tiny_dataset(), LossConfig(), np.random.default_rng(6), 32)
     results = []
-    for micro_batch in (0, 3, 8):
+    for micro_batch in (len(batch), 3, 8):
+        monkeypatch.setattr(training, "MICRO_BATCH", micro_batch)
         model = tiny_model()
-        config = TrainConfig(micro_batch=micro_batch, clip_norm=0.0)
-        loss = train_step(model, batch, OptimizerState.for_model(model), config)
+        loss = train_step(model, batch, OptimizerState.for_model(model), TrainConfig(clip_norm=0.0))
         results.append((loss, {k: p.grad.copy() for k, p in model.params.items()}))
     ref_loss, ref_grads = results[0]
     atol = 1e-12 * max(float(np.abs(g).max()) for g in ref_grads.values())
@@ -445,7 +450,7 @@ def test_train_step_memory_is_bounded_by_micro_batch():
     train_set, _ = generate_datasets(cfg.task)
     model = InsertionModel(cfg.resolved_model(), seed=0)
     opt_state = OptimizerState.for_model(model)
-    config = TrainConfig(micro_batch=8)
+    config = TrainConfig()
 
     def step_peak(batch_size: int) -> int:
         batch = make_training_batch(train_set, cfg.loss, np.random.default_rng(batch_size), batch_size)
