@@ -7,12 +7,24 @@ reductions. Tensors wrap numpy arrays; a Tape records ops in execution
 order (which is already topological) and replays them in reverse to
 accumulate gradients.
 
+A tape holds only what its backward reads. Each recorded node keeps its
+backward closure and, per input, where that input's gradient goes: the
+tape-local index of its producer node, the leaf Tensor itself, or None
+when it needs no gradient. A closure captures the arrays, shapes and
+dtypes its formula reads (an affine keeps its operand arrays, an add only
+shapes), never an input Tensor, and nothing holds an op's output but the
+caller. So once the forward has returned, the tape's memory is the saved
+arrays, not every intermediate. An output links to its producer through
+`Tensor.node`; a node names its tape by serial number only, so tapes form
+no reference cycles and free as soon as the last reference goes.
+
 Two precisions are supported: float64 for gradient checking, float32 for
 training speed. No broadcasting beyond what the model needs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -57,7 +69,7 @@ class ShapeError(ValueError):
 class Tensor:
     """A dense array with an optional gradient accumulator."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -66,6 +78,7 @@ class Tensor:
         self.data: np.ndarray = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
+        self.node: _Node | None = None  # the op that made this tensor on a tape
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -108,12 +121,21 @@ def set_finite_checks(enabled: bool) -> None:
 
 
 class _Node:
-    __slots__ = ("output", "inputs", "backward_fn")
+    """One recorded op: its backward closure and where each input's gradient goes.
 
-    def __init__(self, output: Tensor, inputs: tuple[Tensor, ...], backward_fn):
-        self.output = output
-        self.inputs = inputs
+    `parents[i]` is the tape-local index of input i's producer, the input
+    itself if it is a leaf of this tape, or None if it needs no gradient.
+    `tape` is the serial number of the recording tape and `index` this
+    node's place on it.
+    """
+
+    __slots__ = ("backward_fn", "parents", "tape", "index")
+
+    def __init__(self, backward_fn, parents: tuple, tape: int, index: int):
         self.backward_fn = backward_fn
+        self.parents = parents
+        self.tape = tape
+        self.index = index
 
 
 class Tape:
@@ -121,11 +143,15 @@ class Tape:
 
     Ops append themselves while a tape is active (``with Tape() as t:``).
     Because ops record at execution time the list is topologically sorted
-    by construction; reverse traversal propagates gradients.
+    by construction; reverse traversal propagates gradients. A tensor made
+    on another tape is a leaf of this one.
     """
+
+    _serials = itertools.count()
 
     def __init__(self):
         self.nodes: list[_Node] = []
+        self.serial = next(Tape._serials)
 
     def __enter__(self) -> "Tape":
         _TAPE_STACK.append(self)
@@ -146,13 +172,23 @@ def _active_tape() -> Tape | None:
     return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
+def _parent(t: Tensor, serial: int):
+    """Where t's gradient goes on tape `serial`: its producer's index, t itself as a leaf, or None."""
+    if not t.requires_grad:
+        return None
+    node = t.node
+    return node.index if node is not None and node.tape == serial else t
+
+
 def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     if _FINITE_CHECKS and not np.all(np.isfinite(out.data)):
         raise FloatingPointError("op produced non-finite values")
     tape = _active_tape()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
-        tape.nodes.append(_Node(out, inputs, backward_fn))
+        serial, nodes = tape.serial, tape.nodes
+        out.node = _Node(backward_fn, tuple(_parent(t, serial) for t in inputs), serial, len(nodes))
+        nodes.append(out.node)
     return out
 
 
@@ -165,27 +201,30 @@ def backward(tape: Tape, loss: Tensor) -> None:
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
-    produced = {id(n.output) for n in tape.nodes}
-    if id(loss) not in produced:
+    last = loss.node
+    if last is None or last.tape != tape.serial:
         if loss.requires_grad:
             loss.accumulate_grad(np.ones_like(loss.data))
         return
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    leaves: dict[int, Tensor] = {}
-    for node in reversed(tape.nodes):
-        g_out = grads.pop(id(node.output), None)
+    grads: list[np.ndarray | None] = [None] * (last.index + 1)  # by node index
+    grads[-1] = np.ones_like(loss.data)
+    leaves: dict[Tensor, np.ndarray] = {}  # a Tensor hashes by identity
+    for i in reversed(range(len(grads))):
+        g_out, grads[i] = grads[i], None
         if g_out is None:
             continue
-        for t, g in zip(node.inputs, node.backward_fn(g_out)):
-            if g is None or not t.requires_grad:
+        node = tape.nodes[i]
+        for parent, g in zip(node.parents, node.backward_fn(g_out)):
+            if g is None or parent is None:
                 continue
-            key = id(t)
-            acc = grads.get(key)
-            grads[key] = g if acc is None else acc + g
-            if key not in produced:
-                leaves[key] = t
-    for key, t in leaves.items():
-        t.accumulate_grad(grads[key])
+            if type(parent) is int:
+                acc = grads[parent]
+                grads[parent] = g if acc is None else acc + g
+            else:
+                acc = leaves.get(parent)
+                leaves[parent] = g if acc is None else acc + g
+    for t, g in leaves.items():
+        t.accumulate_grad(g)
 
 
 def _as_tensor(x) -> Tensor:
@@ -215,12 +254,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
     k, n = b.shape
-    out = Tensor((a.data.reshape(-1, k) @ b.data).reshape(a.shape[:-1] + (n,)))
+    a_data, b_data, a_shape = a.data, b.data, a.shape
+    out = Tensor((a_data.reshape(-1, k) @ b_data).reshape(a_shape[:-1] + (n,)))
 
     def bwd(g):
         g2 = g.reshape(-1, n)
-        ga = (g2 @ b.data.T).reshape(a.shape)
-        gb = a.data.reshape(-1, k).T @ g2
+        ga = (g2 @ b_data.T).reshape(a_shape)
+        gb = a_data.reshape(-1, k).T @ g2
         return ga, gb
 
     return _record(out, (a, b), bwd)
@@ -229,9 +269,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor(a.data + b.data)
+    a_shape, b_shape = a.shape, b.shape
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _record(out, (a, b), bwd)
 
@@ -242,14 +283,15 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x.shape[-1] != w.shape[0]:
         raise ShapeError(f"affine inner dimensions disagree: {x.shape} vs {w.shape}")
     k, n = w.shape
-    y = x.data.reshape(-1, k) @ w.data
+    x_data, w_data, x_shape = x.data, w.data, x.shape
+    y = x_data.reshape(-1, k) @ w_data
     y += b.data
-    out = Tensor(y.reshape(x.shape[:-1] + (n,)))
+    out = Tensor(y.reshape(x_shape[:-1] + (n,)))
 
     def bwd(g):
         g2 = g.reshape(-1, n)
-        gx = (g2 @ w.data.T).reshape(x.shape)
-        gw = x.data.reshape(-1, k).T @ g2
+        gx = (g2 @ w_data.T).reshape(x_shape)
+        gw = x_data.reshape(-1, k).T @ g2
         gb = np.add.reduce(g2, axis=0)
         return gx, gw, gb
 
@@ -267,13 +309,23 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b) -> Tensor:
-    """Elementwise (broadcasting) product; a plain scalar/array b is a constant of a's dtype."""
+    """Elementwise (broadcasting) product; a plain scalar/array b is a constant of a's dtype.
+
+    An operand that needs no gradient gets none: its partner's array is
+    neither saved nor multiplied in backward.
+    """
     a = _as_tensor(a)
     b = b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=a.dtype))
     out = Tensor(a.data * b.data)
+    a_shape, b_shape = a.shape, b.shape
+    a_factor = b.data if a.requires_grad else None  # what a's gradient reads
+    b_factor = a.data if b.requires_grad else None
 
     def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (
+            None if a_factor is None else _unbroadcast(g * a_factor, a_shape),
+            None if b_factor is None else _unbroadcast(g * b_factor, b_shape),
+        )
 
     return _record(out, (a, b), bwd)
 
@@ -281,11 +333,11 @@ def mul(a: Tensor, b) -> Tensor:
 def relu(a: Tensor) -> Tensor:
     """max(x, 0) elementwise, with +0.0 for every x <= 0; NaN propagates (it is not zeroed)."""
     a = _as_tensor(a)
-    mask = a.data > 0
     y = np.maximum(a.data, 0)
     y += 0  # maximum(-0.0, 0) may be either zero, by platform; -0.0 + 0 is +0.0
     out = Tensor(y)
-    return _record(out, (a,), lambda g: (g * mask,))
+    # y > 0 exactly where x > 0; y is what the next op saves anyway, a mask would be one more array
+    return _record(out, (a,), lambda g: (g * (y > 0),))
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -358,12 +410,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = np.einsum("...i,...i->...", xhat, xhat)[..., None] / x.shape[-1]
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
-    y = xhat * gain.data
+    gain_data = gain.data
+    y = xhat * gain_data
     y += bias.data
     out = Tensor(y)
 
     def bwd(g):
-        dxhat = g * gain.data
+        dxhat = g * gain_data
         dx = inv * (dxhat - _mean_last(dxhat) - xhat * _mean_last(dxhat * xhat))
         lead = tuple(range(g.ndim - 1))
         dgain = np.add.reduce(g * xhat, axis=lead)
@@ -448,12 +501,13 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     table = _as_tensor(table)
     ids = np.asarray(ids)
     out = Tensor(table.data[ids])
+    shape, dtype = table.shape, table.dtype
 
     def bwd(g):
         # segment-sum scatter (sort + reduceat); np.add.at is far slower
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(shape, dtype=dtype)
         flat_ids = ids.reshape(-1)
-        g2 = g.reshape(-1, table.shape[-1])
+        g2 = g.reshape(-1, shape[-1])
         order = np.argsort(flat_ids, kind="stable")
         sorted_ids = flat_ids[order]
         starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_ids)) + 1))
@@ -474,9 +528,10 @@ def adjacent_pairs(x: Tensor) -> Tensor:
     buf[..., :h] = x.data[..., :-1, :]
     buf[..., h:] = x.data[..., 1:, :]
     out = Tensor(buf)
+    shape, dtype = x.shape, x.dtype
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
+        gx = np.zeros(shape, dtype=dtype)
         gx[..., :-1, :] += g[..., :h]
         gx[..., 1:, :] += g[..., h:]
         return (gx,)
@@ -489,11 +544,12 @@ def max_over_axis(x: Tensor, axis: int) -> Tensor:
     x = _as_tensor(x)
     out = Tensor(x.data.max(axis=axis))
     idx = x.data.argmax(axis=axis)
+    shape, dtype, out_shape = x.shape, x.dtype, out.shape
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
-        ax = axis % x.data.ndim
-        grid = np.indices(out.data.shape)
+        gx = np.zeros(shape, dtype=dtype)
+        ax = axis % len(shape)
+        grid = np.indices(out_shape)
         index = list(grid)
         index.insert(ax, idx)
         gx[tuple(index)] = g
@@ -506,11 +562,12 @@ def take(x: Tensor, indices: tuple[np.ndarray, ...]) -> Tensor:
     """Advanced-index gather x[indices], shaped like the broadcast indices; gradient scatter-adds."""
     x = _as_tensor(x)
     out = Tensor(x.data[indices])
+    shape, dtype, size = x.shape, x.dtype, x.size
 
     def bwd(g):
-        flat = np.ravel_multi_index(indices, x.shape).reshape(-1)
-        gx = np.bincount(flat, weights=g.reshape(-1).astype(np.float64), minlength=x.data.size)
-        return (gx.astype(x.dtype).reshape(x.shape),)
+        flat = np.ravel_multi_index(indices, shape).reshape(-1)
+        gx = np.bincount(flat, weights=g.reshape(-1).astype(np.float64), minlength=size)
+        return (gx.astype(dtype).reshape(shape),)
 
     return _record(out, (x,), bwd)
 
@@ -525,11 +582,12 @@ def gather_rows(x: Tensor, rows: np.ndarray) -> Tensor:
     x = _as_tensor(x)
     h = x.shape[-1]
     out = Tensor(x.data.reshape(-1, h)[rows])
+    shape, dtype, size = x.shape, x.dtype, x.size
 
     def bwd(g):
-        gx = np.zeros((x.size // h, h), dtype=x.dtype)
+        gx = np.zeros((size // h, h), dtype=dtype)
         gx[rows] = g
-        return (gx.reshape(x.shape),)
+        return (gx.reshape(shape),)
 
     return _record(out, (x,), bwd)
 
@@ -547,16 +605,17 @@ def scatter_rows(x: Tensor, rows: np.ndarray, shape: Sequence[int]) -> Tensor:
 def tsum(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     out = Tensor(np.asarray(x.data.sum()))
-    return _record(out, (x,), lambda g: (np.broadcast_to(g, x.shape).astype(x.dtype, copy=True),))
+    shape, dtype = x.shape, x.dtype
+    return _record(out, (x,), lambda g: (np.broadcast_to(g, shape).astype(dtype, copy=True),))
 
 
 def tmean(x: Tensor) -> Tensor:
     x = _as_tensor(x)
     out = Tensor(np.asarray(x.data.mean()))
-    n = x.data.size
+    n, shape, dtype = x.size, x.shape, x.dtype
 
     def bwd(g):
-        return (np.broadcast_to(g / n, x.shape).astype(x.dtype, copy=True),)
+        return (np.broadcast_to(g / n, shape).astype(dtype, copy=True),)
 
     return _record(out, (x,), bwd)
 
@@ -564,15 +623,17 @@ def tmean(x: Tensor) -> Tensor:
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     x = _as_tensor(x)
     out = Tensor(x.data.reshape(shape))
-    return _record(out, (x,), lambda g: (g.reshape(x.shape),))
+    x_shape = x.shape
+    return _record(out, (x,), lambda g: (g.reshape(x_shape),))
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     ts = [_as_tensor(t) for t in tensors]
     out = Tensor(np.stack([t.data for t in ts], axis=axis))
+    n = len(ts)
 
     def bwd(g):
         pieces = np.moveaxis(g, axis, 0)
-        return tuple(pieces[i] for i in range(len(ts)))
+        return tuple(pieces[i] for i in range(n))
 
     return _record(out, tuple(ts), bwd)

@@ -8,8 +8,9 @@ Layout (all integers little-endian u32):
 The header JSON carries the model config plus arbitrary extra metadata
 (vocab, loss/task settings). The manifest lists (name, shape, offset) per
 parameter; parameter data is raw 32-bit little-endian floats at the given
-blob offsets. Saving is atomic (write temp, rename) and save -> load ->
-save round-trips byte-identically.
+blob offsets. Saving streams each array's bytes straight to the file (no
+blob is built in memory), is atomic (write temp, rename), and save -> load
+-> save round-trips byte-identically.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ def _dump_json(obj) -> bytes:
 
 def save(path: str, model: InsertionModel, extra: dict[str, Any] | None = None) -> None:
     header = {"config": dataclasses.asdict(model.config), "extra": extra or {}}
-    manifest, blob = pack_arrays((name, p.data) for name, p in model.params.items())
+    manifest, arrays = pack_arrays((name, p.data) for name, p in model.params.items())
     header_b = _dump_json(header)
     manifest_b = _dump_json(manifest)
     write_atomic(
@@ -49,15 +50,21 @@ def save(path: str, model: InsertionModel, extra: dict[str, Any] | None = None) 
         header_b,
         struct.pack("<I", len(manifest_b)),
         manifest_b,
-        blob,
+        *arrays,
     )
 
 
-def write_atomic(path: str, *chunks: bytes) -> None:
-    """Write the chunks to a temp file, then rename it over path."""
+def write_atomic(path: str, *chunks: bytes | np.ndarray) -> None:
+    """Write the chunks to a temp file, then rename it over path.
+
+    An array chunk goes as its little-endian float32 bytes, written from the
+    array itself (a float32 array is not copied; any other is converted).
+    """
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
         for chunk in chunks:
+            if isinstance(chunk, np.ndarray):
+                chunk = np.ascontiguousarray(chunk, dtype="<f4")
             f.write(chunk)
     os.replace(tmp, path)
 
@@ -101,15 +108,18 @@ def load(path: str) -> tuple[InsertionModel, dict[str, Any]]:
     return model, extra
 
 
-def pack_arrays(arrays: Iterable[tuple[str, np.ndarray]]) -> tuple[list[dict], bytes]:
-    """A (name, shape, offset) manifest and the float32 blob that read_arrays reads back."""
-    manifest, blobs, offset = [], [], 0
+def pack_arrays(arrays: Iterable[tuple[str, np.ndarray]]) -> tuple[list[dict], list[np.ndarray]]:
+    """A (name, shape, offset) manifest and the arrays in blob order.
+
+    Passed to write_atomic in that order, the arrays make the float32 blob
+    that read_arrays reads back.
+    """
+    manifest, kept, offset = [], [], 0
     for name, arr in arrays:
-        raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
         manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blobs.append(raw)
-        offset += len(raw)
-    return manifest, b"".join(blobs)
+        kept.append(arr)
+        offset += 4 * arr.size
+    return manifest, kept
 
 
 def read_arrays(path: str, manifest, blob: bytes, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:

@@ -8,11 +8,12 @@ over each item's slot losses.
 A step splits the batch into micro-batches of `MICRO_BATCH` items, sorted
 by source length first, then by canvas length. Each runs as one forward on
 its own tape, and its backward runs right away, adding its share of the
-gradient into the parameters' .grad. So a step holds the activations of one
-micro-batch at a time, and `MICRO_BATCH` bounds step memory whatever the
-batch size. The model's position-wise layers run on real token rows only,
-so padding costs only in attention and the slot head. Source length leads
-the sort key, which keeps the encoder's S x S attention scores dense.
+gradient into the parameters' .grad. A tape keeps only the arrays its
+backward reads (see autodiff), so step memory is one micro-batch's saved
+arrays, and `MICRO_BATCH` bounds it whatever the batch size. The model's
+position-wise layers run on real token rows only, so padding costs only in
+attention and the slot head. Source length leads the sort key, which keeps
+the encoder's S x S attention scores dense.
 
 The batch rng for step t derives from (seed, t), so resuming from a
 checkpoint (parameters + optimizer moments) reproduces an uninterrupted
@@ -222,13 +223,13 @@ def _length_buckets(batch: list[BatchItem], micro_batch: int) -> list[list[Batch
 
 
 def save_optimizer_state(path: str, state: OptimizerState) -> None:
-    manifest, blob = ckpt.pack_arrays(
+    manifest, arrays = ckpt.pack_arrays(
         (f"{group}.{name}", arr)
-        for group, arrays in (("m", state.m), ("v", state.v))
-        for name, arr in arrays.items()
+        for group, moments in (("m", state.m), ("v", state.v))
+        for name, arr in moments.items()
     )
     payload = json.dumps({"step": state.step, "manifest": manifest}).encode()
-    ckpt.write_atomic(path, len(payload).to_bytes(4, "little"), payload, blob)
+    ckpt.write_atomic(path, len(payload).to_bytes(4, "little"), payload, *arrays)
 
 
 def load_optimizer_state(path: str, model: InsertionModel) -> OptimizerState:

@@ -5,6 +5,9 @@ differences in float64; softmax gets its algebraic identities checked
 directly.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -282,6 +285,36 @@ def test_shared_input_grads_do_not_alias():
         loss = ad.tsum(ad.add(x, x))
     tape.backward(loss)
     np.testing.assert_array_equal(x.grad, 2 * np.ones(4))
+
+
+def test_output_of_a_closed_tape_is_a_leaf_of_the_next():
+    # a tensor made on another tape stays a leaf: its .grad receives the new
+    # tape's gradient, and nothing flows on to what made it
+    w = ad.tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    with ad.Tape():
+        h = ad.mul(w, 2.0)
+    with ad.Tape() as tape:
+        loss = ad.tsum(ad.mul(h, h))
+    tape.backward(loss)
+    np.testing.assert_array_equal(h.grad, 2 * h.data)
+    assert w.grad is None
+
+
+def test_a_tape_frees_without_the_cycle_collector():
+    # nodes name their tape by serial number, not by reference, so a tape and
+    # the arrays it saved go as soon as the last reference to them does
+    x = ad.tensor(np.ones((4, 3)), requires_grad=True)
+    w = ad.tensor(np.ones((3, 2)), requires_grad=True)
+    gc.disable()
+    try:
+        with ad.Tape() as tape:
+            loss = ad.tsum(ad.relu(ad.matmul(x, w)))
+        tape.backward(loss)
+        tape_ref = weakref.ref(tape)
+        del tape, loss
+        assert tape_ref() is None
+    finally:
+        gc.enable()
 
 
 @settings(max_examples=25)

@@ -225,28 +225,46 @@ def _check_sampled_gradients(model, batch):
 def test_float32_model_computes_in_float32(monkeypatch):
     # every tape output of a float32 train step (two micro-batches, one tape
     # each, with the weighting of each micro-batch loss) and of decoding
-    # stays float32
+    # stays float32; nodes do not keep their outputs, so each output's dtype
+    # is observed as the op records it
     tapes = []
+    recorded: dict[int, list] = {}  # id(tape) -> dtype of each output the tape recorded
 
     class RecordingTape(ad.Tape):
         def __enter__(self):
             tapes.append(self)
             return super().__enter__()
 
+    record = ad._record
+
+    def observed_record(out, inputs, backward_fn):
+        tape = ad._active_tape()
+        before = len(tape.nodes) if tape is not None else 0
+        out = record(out, inputs, backward_fn)
+        if tape is not None and len(tape.nodes) > before:
+            recorded.setdefault(id(tape), []).append(out.dtype)
+        return out
+
+    def output_dtypes(tape) -> set:
+        dtypes = recorded.get(id(tape), [])
+        assert len(dtypes) == len(tape.nodes)
+        return set(dtypes)
+
     monkeypatch.setattr(training, "Tape", RecordingTape)
+    monkeypatch.setattr(ad, "_record", observed_record)
     model = tiny_model(dtype="float32")
     batch = make_training_batch(tiny_dataset(), LossConfig(), np.random.default_rng(0), 16)
     loss = train_step(model, batch, OptimizerState.for_model(model), TrainConfig())
     assert math.isfinite(loss)
     assert len(tapes) == 2
     for tape in tapes:
-        assert {n.output.dtype for n in tape.nodes} == {np.dtype(np.float32)}
+        assert output_dtypes(tape) == {np.dtype(np.float32)}
     assert all(p.grad.dtype == np.float32 for p in model.params.values() if p.grad is not None)
 
     x = tiny_dataset()[0][0]
     with ad.Tape() as tape:
         decode(model, x, DecodeConfig(mode="parallel", max_output_length=6))
-    assert tape.nodes and {n.output.dtype for n in tape.nodes} == {np.dtype(np.float32)}
+    assert tape.nodes and output_dtypes(tape) == {np.dtype(np.float32)}
     assert model.log_probs(model.encode(x), (x[0],)).dtype == np.float32
 
 
@@ -462,6 +480,36 @@ def test_train_step_memory_is_bounded_by_micro_batch():
             tracemalloc.stop()
 
     assert step_peak(64) <= 1.5 * step_peak(8)
+
+
+def test_a_tape_holds_less_than_its_op_outputs(monkeypatch):
+    # nodes keep only the arrays their backward reads, not every op output:
+    # after the forward of a pinned micro-batch (the longest of a seeded
+    # batch), the tape holds well under the summed size of all outputs
+    cfg = load_config(None, ["task.kind=copy", "task.num_train=256", "task.num_dev=1"])
+    train_set, _ = generate_datasets(cfg.task)
+    model = InsertionModel(cfg.resolved_model(), seed=0)
+    batch = make_training_batch(train_set, cfg.loss, np.random.default_rng(0), 64)
+    group = training._length_buckets(batch, training.MICRO_BATCH)[-1]
+    output_bytes = 0
+    record = ad._record
+
+    def counting_record(out, inputs, backward_fn):
+        nonlocal output_bytes
+        output_bytes += out.data.nbytes
+        return record(out, inputs, backward_fn)
+
+    monkeypatch.setattr(ad, "_record", counting_record)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        with ad.Tape() as tape:
+            loss = batch_loss(model, group)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert tape.nodes and loss.requires_grad
+    assert held <= 0.85 * output_bytes, (held, output_bytes)
 
 
 def test_damaged_optimizer_state_raises_checkpoint_error(tmp_path):
