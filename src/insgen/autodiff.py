@@ -18,6 +18,10 @@ arrays, not every intermediate. An output links to its producer through
 `Tensor.node`; a node names its tape by serial number only, so tapes form
 no reference cycles and free as soon as the last reference goes.
 
+A tape's backward runs once: it takes each node off the tape as it
+reaches it, so the saved arrays free while the backward proceeds, and a
+second backward on that tape raises RuntimeError.
+
 Two precisions are supported: float64 for gradient checking, float32 for
 training speed. No broadcasting beyond what the model needs.
 """
@@ -195,9 +199,11 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
 def backward(tape: Tape, loss: Tensor) -> None:
     """Accumulate d(loss)/d(t) into t.grad for every leaf tensor on the tape.
 
-    Repeated calls accumulate; callers zero grads between steps. Never
-    mutates intermediate grad buffers in place, so shared upstream arrays
-    stay intact.
+    A tape's backward runs once: each node leaves the tape (its slot becomes
+    None) as the loop reaches it, so its saved arrays free while the
+    backward runs, and a second call raises RuntimeError. Leaf grads
+    accumulate across tapes; callers zero them between steps. Never mutates
+    intermediate grad buffers in place, so shared upstream arrays stay intact.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -211,9 +217,11 @@ def backward(tape: Tape, loss: Tensor) -> None:
     leaves: dict[Tensor, np.ndarray] = {}  # a Tensor hashes by identity
     for i in reversed(range(len(grads))):
         g_out, grads[i] = grads[i], None
+        node, tape.nodes[i] = tape.nodes[i], None
         if g_out is None:
             continue
-        node = tape.nodes[i]
+        if node is None:
+            raise RuntimeError("backward already ran on this tape")
         for parent, g in zip(node.parents, node.backward_fn(g_out)):
             if g is None or parent is None:
                 continue

@@ -223,7 +223,7 @@ def cmd_eval(args) -> int:
     config = _decode_config_from(model, extra, args.mode, args.beta, None)
     sweep = _sweep_configs(args.sweep_beta, config) if args.sweep_beta else None
     if args.data is not None:
-        dataset, _ = load_corpus(args.data, vocab)
+        dataset = load_corpus(args.data, vocab)
     else:
         task_info = extra.get("task")
         if not task_info:

@@ -1,15 +1,17 @@
 """Run configuration: one JSON file covering model, loss, training, decoding,
 and task sections, with dotted-key command-line overrides.
 
-Unknown sections or keys are rejected by name. The resolved configuration
-is echoed into the run directory so a run can be reproduced exactly from
-its own artifacts.
+Unknown sections or keys are rejected by name, and so is a value whose
+JSON type does not match its field's annotation (no value is coerced). The
+resolved configuration is echoed into the run directory so a run can be
+reproduced exactly from its own artifacts.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from dataclasses import dataclass, field
 
 from .decoding import DecodeConfig
@@ -56,10 +58,20 @@ def _section_fields(cls) -> set[str]:
     return {f.name for f in dataclasses.fields(cls)}
 
 
+# the value types each field annotation accepts: a bool is not an int, an
+# int is a float, and a string is never parsed into anything else
+_ACCEPTED = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
+
+
 def build_section(name: str, cls, data: dict):
     unknown = set(data) - _section_fields(cls)
     if unknown:
         raise ConfigError(f"unknown key(s) in [{name}]: {', '.join(sorted(unknown))}")
+    for key, annotation in typing.get_type_hints(cls).items():
+        if key in data and type(data[key]) not in _ACCEPTED[annotation]:
+            raise ConfigError(
+                f"{name}.{key} must be {annotation.__name__}, got {type(data[key]).__name__} {data[key]!r}"
+            )
     try:
         return cls(**data)
     except (TypeError, ValueError) as e:

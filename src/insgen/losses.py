@@ -16,6 +16,10 @@ every empty span into an end-of-slot target; sequence finalization drops
 empty spans, except that a fully complete canvas targets end-of-sequence
 at every location.
 
+A slot target is a plain `(location, tokens, weights)` tuple: the builders
+resolve its tokens (the span's target tokens, end-of-slot or
+end-of-sequence) once, so the loss reads them without the output sequence.
+
 `weighted_nll` evaluates the loss of a whole batch as one gather: the mean
 over items of the mean over each item's slot losses.
 """
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -54,58 +58,29 @@ class LossConfig:
             raise ValueError("binary tree temperature must be positive")
 
 
-class SlotTarget(NamedTuple):
-    """Supervision for one slot: a weighted token span or a terminal token.
-
-    A train step builds one per slot, ~600 in all; a NamedTuple costs about
-    half of what a frozen dataclass does to construct.
-    """
-
-    location: int
-    kind: str  # "span" | "end_of_slot" | "end_of_sequence"
-    span: range | None = None  # the target indices of a "span" target
-    weights: tuple[float, ...] = (1.0,)
-
-    def token_ids(self, y: TokenSeq) -> tuple[int, ...]:
-        if self.kind == "span":
-            return y[self.span.start : self.span.stop]
-        return (EOSLOT,) if self.kind == "end_of_slot" else (EOS,)
-
-
-def span_center_distance(span: range, i: int) -> float:
-    """Distance of index i from the span center, in real arithmetic."""
-    if i not in span:
-        raise ValueError(f"index {i} outside span {span}")
-    return abs((span[0] + span[-1]) / 2.0 - i)
-
-
-def slot_weights(span: range, tau: float) -> np.ndarray:
-    """Softmax weighting exp(-d/tau), normalized over the span.
-
-    tau -> 0 concentrates on the centermost token(s); tau -> inf tends to
-    uniform. Computed with max-subtraction so tiny temperatures stay finite.
-    """
-    if not span:
-        raise ValueError("slot_weights needs a nonempty span")
-    if not tau > 0:
-        raise ValueError("temperature must be positive")
-    d = np.array([span_center_distance(span, i) for i in span])
-    z = -d / tau
-    z -= z.max()
-    e = np.exp(z)
-    return e / e.sum()
+SlotTarget = tuple[int, TokenSeq, tuple[float, ...]]  # (location, tokens, weights)
 
 
 @lru_cache(maxsize=4096)
-def _span_weights(n: int, order: str, tau: float) -> tuple[float, ...]:
-    """Target weights of any n-token span: uniform, or `slot_weights`.
+def span_weights(n: int, order: str, tau: float) -> tuple[float, ...]:
+    """Target weights of any n-token span: uniform, or binary-tree softmax weights.
 
-    They depend only on the span's length, the order and tau, not on where
-    the span starts, so each (n, order, tau) is computed once.
+    A binary-tree weight is softmax(-d / tau) of the token's distance d from
+    the span center: tau -> 0 concentrates on the centermost token(s), tau ->
+    inf tends to uniform, and max-subtraction keeps tiny temperatures finite.
+    The weights depend only on n, the order and tau, not on where the span
+    starts, so each (n, order, tau) is computed once.
     """
+    if n < 1:
+        raise ValueError("span_weights needs a nonempty span")
     if order == "uniform":
         return tuple(np.full(n, 1.0 / n).tolist())
-    return tuple(slot_weights(range(n), tau).tolist())
+    if not tau > 0:
+        raise ValueError("temperature must be positive")
+    z = -np.abs((n - 1) / 2.0 - np.arange(n)) / tau
+    z -= z.max()
+    e = np.exp(z)
+    return tuple((e / e.sum()).tolist())
 
 
 def build_slot_targets(y: TokenSeq, kept: tuple[int, ...], config: LossConfig) -> list[SlotTarget]:
@@ -114,14 +89,13 @@ def build_slot_targets(y: TokenSeq, kept: tuple[int, ...], config: LossConfig) -
     complete = not any(spans)
     targets: list[SlotTarget] = []
     for l, span in enumerate(spans):
-        if not span:
-            if config.termination == "slot":
-                targets.append(SlotTarget(location=l, kind="end_of_slot"))
-            elif complete:
-                targets.append(SlotTarget(location=l, kind="end_of_sequence"))
-            continue
-        w = _span_weights(len(span), config.order, config.temperature)
-        targets.append(SlotTarget(location=l, kind="span", span=span, weights=w))
+        if span:
+            w = span_weights(len(span), config.order, config.temperature)
+            targets.append((l, y[span.start : span.stop], w))
+        elif config.termination == "slot":
+            targets.append((l, (EOSLOT,), (1.0,)))
+        elif complete:
+            targets.append((l, (EOS,), (1.0,)))
     return targets
 
 
@@ -129,26 +103,24 @@ def left_to_right_targets(y: TokenSeq, k: int) -> list[SlotTarget]:
     """The single left-to-right target for prefix length k: (y_{k+1}, k), or EOS at |y|."""
     if not 0 <= k <= len(y):
         raise ValueError(f"prefix length {k} outside [0, {len(y)}]")
-    if k == len(y):
-        return [SlotTarget(location=k, kind="end_of_sequence")]
-    return [SlotTarget(location=k, kind="span", span=range(k, k + 1), weights=(1.0,))]
+    return [(k, y[k : k + 1] if k < len(y) else (EOS,), (1.0,))]
 
 
-def weighted_nll(logp: Tensor, ys: Sequence[TokenSeq], targets: Sequence[list[SlotTarget]]) -> Tensor:
+def weighted_nll(logp: Tensor, targets: Sequence[list[SlotTarget]]) -> Tensor:
     """Batch loss from joint log-probs (B, C+1, V): mean over rows of their mean slot losses.
 
-    Row b supervises `targets[b]` against its output sequence `ys[b]`; each
-    slot loss is the target-weighted negative log-likelihood of its tokens.
+    Row b supervises `targets[b]`; each slot loss is the target-weighted
+    negative log-likelihood of its tokens.
     """
     B = len(targets)
     index, weights = [], []  # one (row, location, token) per supervised token
-    for b, (y, row) in enumerate(zip(ys, targets)):
+    for b, row in enumerate(targets):
         if not row:
             raise ValueError(f"row {b} has no slot targets")
         share = 1.0 / (len(row) * B)
-        for t in row:
-            for tok, w in zip(t.token_ids(y), t.weights):
-                index.append((b, t.location, tok))
+        for location, tokens, ws in row:
+            for tok, w in zip(tokens, ws):
+                index.append((b, location, tok))
                 weights.append(w * share)
     picked = ad.take(logp, tuple(np.asarray(index, dtype=np.int64).T))
     return ad.neg(ad.tsum(ad.mul(picked, np.asarray(weights, dtype=logp.dtype))))

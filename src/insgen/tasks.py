@@ -150,11 +150,10 @@ def save_corpus(path: str, dataset: Dataset, vocab: Vocab) -> None:
             f.write(f"{vocab.decode(x)}\t{vocab.decode(y)}\n")
 
 
-def load_corpus(path: str, vocab: Vocab | None = None) -> tuple[Dataset, Vocab]:
-    """Read tab-separated token pairs, one per line.
+def load_corpus(path: str, vocab: Vocab) -> Dataset:
+    """Read tab-separated token pairs, one per line, with a frozen vocab.
 
-    With vocab=None a new vocabulary is built from the file; a frozen vocab
-    maps unknown tokens to the reserved unknown id.
+    Tokens the vocab does not hold map to the reserved unknown id.
     """
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
@@ -168,27 +167,13 @@ def load_corpus(path: str, vocab: Vocab | None = None) -> tuple[Dataset, Vocab]:
                 f"{path}:{num}: expected one tab separating source and target"
             )
         raw.append((parts[0].split(), parts[1].split()))
-    if vocab is None:
-        from .vocab import build_vocab
-
-        seen: dict[str, None] = {}
-        for src, tgt in raw:
-            for tok in src + tgt:
-                seen.setdefault(tok)
-        vocab = build_vocab(seen)
-        dataset = [
-            (tuple(vocab.id_of(t) for t in src), tuple(vocab.id_of(t) for t in tgt))
-            for src, tgt in raw
-        ]
-    else:
-        dataset = [
-            (
-                tuple(vocab.id_of(t, allow_unk=True) for t in src),
-                tuple(vocab.id_of(t, allow_unk=True) for t in tgt),
-            )
-            for src, tgt in raw
-        ]
-    return dataset, vocab
+    return [
+        (
+            tuple(vocab.id_of(t, allow_unk=True) for t in src),
+            tuple(vocab.id_of(t, allow_unk=True) for t in tgt),
+        )
+        for src, tgt in raw
+    ]
 
 
 # -- metrics -----------------------------------------------------------------

@@ -61,6 +61,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.steps < 0:
+            raise ValueError(f"steps must be >= 0, got {self.steps}")
 
 
 @dataclass
@@ -181,7 +183,7 @@ def batch_loss(model: InsertionModel, batch: list[BatchItem]) -> Tensor:
     cross, src_mask = model.encode_batch(src, src_len)
     H, slot_mask = model.slot_matrix_batch(cross, src_mask, canvas, can_len)
     logp = model.joint_log_probs_batch(H, slot_mask)
-    return weighted_nll(logp, [it.y for it in batch], [it.targets for it in batch])
+    return weighted_nll(logp, [it.targets for it in batch])
 
 
 def train_step(

@@ -49,8 +49,8 @@ class Vocab:
             raise KeyError(f"token {token!r} not in vocabulary")
         return i
 
-    def encode(self, text: str, allow_unk: bool = False) -> tuple[int, ...]:
-        return tuple(self.id_of(t, allow_unk=allow_unk) for t in text.split())
+    def encode(self, text: str) -> tuple[int, ...]:
+        return tuple(self.id_of(t) for t in text.split())
 
     def decode(self, ids) -> str:
         return " ".join(self.tokens[i] for i in ids)

@@ -3,7 +3,6 @@ import pytest
 
 from insgen import autodiff
 from insgen.perf import limit_blas_threads
-from insgen.vocab import EOS, EOSLOT
 
 limit_blas_threads(1)
 
@@ -38,17 +37,14 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def numpy_item_loss(logp: np.ndarray, y, targets) -> float:
+def numpy_item_loss(logp: np.ndarray, targets) -> float:
     """Independent oracle for one item's loss from its (slots, vocab) log-probs.
 
     Mean over slot targets of -sum_i w_i log p(token_i, location), read off
     the array by plain indexing.
     """
-    per_slot = []
-    for t in targets:
-        if t.kind == "span":
-            tokens = [y[i] for i in t.span]
-        else:
-            tokens = (EOSLOT,) if t.kind == "end_of_slot" else (EOS,)
-        per_slot.append(-sum(w * logp[t.location, c] for c, w in zip(tokens, t.weights)))
+    per_slot = [
+        -sum(w * logp[location, c] for c, w in zip(tokens, weights))
+        for location, tokens, weights in targets
+    ]
     return float(np.mean(per_slot))

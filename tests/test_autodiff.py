@@ -258,16 +258,34 @@ def test_backward_sum_of_squares():
     np.testing.assert_allclose(x.grad, 2 * x.data)
 
 
-def test_backward_accumulates_until_zeroed():
-    x = ad.tensor(np.ones(3), requires_grad=True)
+def _tsum_tape(x):
     with ad.Tape() as tape:
         loss = ad.tsum(x)
-    tape.backward(loss)
-    tape.backward(loss)
+    return tape, loss
+
+
+def test_backward_accumulates_until_zeroed():
+    # leaf grads accumulate across tapes until zeroed; each tape runs once
+    x = ad.tensor(np.ones(3), requires_grad=True)
+    for _ in range(2):
+        tape, loss = _tsum_tape(x)
+        tape.backward(loss)
     np.testing.assert_array_equal(x.grad, 2 * np.ones(3))
     x.zero_grad()
+    tape, loss = _tsum_tape(x)
     tape.backward(loss)
     np.testing.assert_array_equal(x.grad, np.ones(3))
+
+
+def test_second_backward_on_a_tape_raises():
+    x = ad.tensor(np.ones(3), requires_grad=True)
+    with ad.Tape() as tape:
+        loss = ad.tsum(ad.mul(x, 2.0))
+    tape.backward(loss)
+    assert len(tape.nodes) == 2 and tape.nodes == [None, None]  # length kept, nodes taken off
+    with pytest.raises(RuntimeError, match="already ran"):
+        tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, 2 * np.ones(3))  # the failed call added nothing
 
 
 def test_backward_rejects_nonscalar_loss():

@@ -58,6 +58,7 @@ def test_config_round_trip_reruns_identically(tiny_run, tmp_path):
 def test_override_applies():
     cfg = load_config(None, ["loss.temperature=2.0"])
     assert cfg.loss.temperature == 2.0
+    assert load_config(None, ["loss.temperature=2"]).loss.temperature == 2  # an int is a float
 
 
 def test_invalid_override_key_named():
@@ -306,6 +307,35 @@ def test_train_data_size_contract_is_a_usage_error(tmp_path, capsys, override, m
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and message in captured.err, captured.err
     assert "Traceback" not in captured.err
+    assert not run_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        pytest.param("train.steps=-1", "steps must be >= 0", id="negative-steps"),
+        pytest.param("model.num_layers=0", "num_layers must be >= 1", id="no-layers"),
+        pytest.param("task.content_vocab_size=true", "task.content_vocab_size must be int, got bool", id="bool-int"),
+        pytest.param("train.steps=abc", "train.steps must be int, got str", id="string-int"),
+        pytest.param("model.d_model=-4", "d_model must be >= 1", id="negative-width"),
+        pytest.param("model.num_heads=0", "num_heads must be >= 1", id="no-heads"),
+        pytest.param("model.d_ff=0", "d_ff must be >= 1", id="no-ffn"),
+        pytest.param("train.batch_size=2.5", "train.batch_size must be int, got float", id="float-int"),
+        pytest.param("loss.temperature=abc", "loss.temperature must be float, got str", id="string-float"),
+        pytest.param("model.use_contextual_bias=1", "model.use_contextual_bias must be bool, got int", id="int-bool"),
+    ],
+)
+def test_bad_config_value_is_a_usage_error(tmp_path, capsys, override, message):
+    # every value is checked against its field's type and range before the
+    # run directory exists; nothing is coerced
+    run_dir = tmp_path / "run"
+    argv = ["train", "--run-dir", str(run_dir)]
+    for o in TINY_OVERRIDES + ["train.steps=1", override]:
+        argv += ["--set", o]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and message in captured.err, captured.err
+    assert "Traceback" not in captured.err and len(captured.err.splitlines()) == 1
     assert not run_dir.exists()
 
 

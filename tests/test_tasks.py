@@ -208,39 +208,38 @@ def test_corpus_round_trip(tmp_path):
     ]
     path = str(tmp_path / "corpus.tsv")
     save_corpus(path, dataset, vocab)
-    loaded, loaded_vocab = load_corpus(path, vocab)
-    assert loaded == dataset
-    assert loaded_vocab is vocab
+    assert load_corpus(path, vocab) == dataset
 
 
 def test_load_corpus_parses_tokens(tmp_path):
     path = tmp_path / "c.tsv"
     path.write_text("a b\tc d\n")
-    dataset, vocab = load_corpus(str(path))
-    assert vocab.tokens[NUM_RESERVED:] == ("a", "b", "c", "d")
+    vocab = build_vocab(["d", "c", "b", "a"])
+    dataset = load_corpus(str(path), vocab)
     assert dataset == [((vocab.id_of("a"), vocab.id_of("b")), (vocab.id_of("c"), vocab.id_of("d")))]
 
 
 def test_load_corpus_frozen_vocab_maps_unknowns(tmp_path):
     path = tmp_path / "c.tsv"
     path.write_text("w0 zzz\tw1\n")
-    dataset, _ = load_corpus(str(path), content_vocab(4))
+    dataset = load_corpus(str(path), content_vocab(4))
     assert dataset[0][0] == (NUM_RESERVED, UNK)
 
 
 def test_load_corpus_errors(tmp_path):
+    vocab = build_vocab(["a", "b"])
     bad = tmp_path / "bad.tsv"
     bad.write_text("a b c\n")
     with pytest.raises(CorpusFormatError, match=":1:"):
-        load_corpus(str(bad))
+        load_corpus(str(bad), vocab)
     bad2 = tmp_path / "bad2.tsv"
     bad2.write_text("a\tb\nnope\n")
     with pytest.raises(CorpusFormatError, match=":2:"):
-        load_corpus(str(bad2))
+        load_corpus(str(bad2), vocab)
     empty = tmp_path / "empty.tsv"
     empty.write_text("")
     with pytest.raises(CorpusFormatError, match="empty"):
-        load_corpus(str(empty))
+        load_corpus(str(empty), vocab)
 
 
 def test_edit_distance_cases():

@@ -29,7 +29,7 @@ from insgen.training import (
     train,
     train_step,
 )
-from insgen.vocab import NUM_RESERVED
+from insgen.vocab import EOSLOT, NUM_RESERVED
 
 from conftest import numpy_item_loss
 
@@ -95,7 +95,7 @@ def test_make_training_batch_complete_canvas_targets_end_of_slot():
     for _ in range(50):
         batch = make_training_batch(dataset, config, rng, 1)
         if len(batch[0].canvas) == len(batch[0].y):
-            assert all(t.kind == "end_of_slot" for t in batch[0].targets)
+            assert [t[1] for t in batch[0].targets] == [(EOSLOT,), (EOSLOT,)]
             break
     else:
         pytest.fail("never drew the complete canvas")
@@ -166,7 +166,7 @@ def test_batch_loss_matches_per_item_reference():
     ref_losses = []
     for item in batch:
         logp = model.log_probs(model.encode(item.x), item.canvas)
-        ref_losses.append(numpy_item_loss(logp, item.y, item.targets))
+        ref_losses.append(numpy_item_loss(logp, item.targets))
     assert got == pytest.approx(float(np.mean(ref_losses)), abs=1e-9)
 
 
