@@ -1,16 +1,21 @@
-"""Binary checkpoint format.
+"""The INSR container: model checkpoints and optimizer sidecars.
 
 Layout (all integers little-endian u32):
 
     b"INSR" | version | header_len | header JSON | manifest_len |
-    manifest JSON | raw parameter blob
+    manifest JSON | raw float32 blob
 
-The header JSON carries the model config plus arbitrary extra metadata
-(vocab, loss/task settings). The manifest lists (name, shape, offset) per
-parameter; parameter data is raw 32-bit little-endian floats at the given
-blob offsets. Saving streams each array's bytes straight to the file (no
-blob is built in memory), is atomic (write temp, rename), and save -> load
--> save round-trips byte-identically.
+The manifest lists (name, shape, offset) per array; array data is raw
+32-bit little-endian floats at the given blob offsets. `write` and `read`
+are the only code that knows this layout, and `read_arrays` the only check
+of a manifest against the arrays a caller expects.
+
+A model checkpoint (`save`/`load`) has header {"config": model config,
+"extra": metadata such as vocab and loss/task settings} and one array per
+parameter. The optimizer sidecar (`training.save_optimizer_state`) has
+header {"step": k} and arrays m.<param> and v.<param>. Writing streams each
+array's bytes straight to the file (no blob is built in memory), is atomic
+(write temp, rename), and save -> load -> save round-trips byte-identically.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import dataclasses
 import json
 import os
 import struct
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
@@ -39,63 +44,11 @@ def _dump_json(obj) -> bytes:
 
 def save(path: str, model: InsertionModel, extra: dict[str, Any] | None = None) -> None:
     header = {"config": dataclasses.asdict(model.config), "extra": extra or {}}
-    manifest, arrays = pack_arrays((name, p.data) for name, p in model.params.items())
-    header_b = _dump_json(header)
-    manifest_b = _dump_json(manifest)
-    write_atomic(
-        path,
-        MAGIC,
-        struct.pack("<I", VERSION),
-        struct.pack("<I", len(header_b)),
-        header_b,
-        struct.pack("<I", len(manifest_b)),
-        manifest_b,
-        *arrays,
-    )
-
-
-def write_atomic(path: str, *chunks: bytes | np.ndarray) -> None:
-    """Write the chunks to a temp file, then rename it over path.
-
-    An array chunk goes as its little-endian float32 bytes, written from the
-    array itself (a float32 array is not copied; any other is converted).
-    """
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        for chunk in chunks:
-            if isinstance(chunk, np.ndarray):
-                chunk = np.ascontiguousarray(chunk, dtype="<f4")
-            f.write(chunk)
-    os.replace(tmp, path)
+    write(path, header, {name: p.data for name, p in model.params.items()})
 
 
 def load(path: str) -> tuple[InsertionModel, dict[str, Any]]:
-    with open(path, "rb") as f:
-        data = f.read()
-    if data[:4] != MAGIC:
-        raise CheckpointError(f"{path}: bad magic {data[:4]!r}, expected {MAGIC!r}")
-    pos = 4
-
-    def read(n: int, what: str) -> bytes:
-        nonlocal pos
-        if pos + n > len(data):
-            raise CheckpointError(f"{path}: truncated: {what} ends past the {len(data)}-byte file")
-        pos += n
-        return data[pos - n : pos]
-
-    def u32(what: str) -> int:
-        return struct.unpack("<I", read(4, what))[0]
-
-    version = u32("version")
-    if version != VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {version}")
-    try:
-        header = json.loads(read(u32("header length"), "header"))
-        manifest = json.loads(read(u32("manifest length"), "manifest"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise CheckpointError(f"{path}: unreadable header or manifest: {e}") from None
-    blob = data[pos:]
-
+    header, manifest, blob = read(path)
     try:
         config = ModelConfig(**header["config"])
         model = InsertionModel(config, seed=0)
@@ -108,21 +61,60 @@ def load(path: str) -> tuple[InsertionModel, dict[str, Any]]:
     return model, extra
 
 
-def pack_arrays(arrays: Iterable[tuple[str, np.ndarray]]) -> tuple[list[dict], list[np.ndarray]]:
-    """A (name, shape, offset) manifest and the arrays in blob order.
+def write(path: str, header: dict[str, Any], arrays: dict[str, np.ndarray]) -> None:
+    """Write an INSR file of header and named arrays: temp file, then rename over path.
 
-    Passed to write_atomic in that order, the arrays make the float32 blob
-    that read_arrays reads back.
+    Each array goes as its little-endian float32 bytes, written from the
+    array itself (a float32 array is not copied; any other is converted).
     """
-    manifest, kept, offset = [], [], 0
-    for name, arr in arrays:
+    manifest, offset = [], 0
+    for name, arr in arrays.items():
         manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        kept.append(arr)
         offset += 4 * arr.size
-    return manifest, kept
+    header_b, manifest_b = _dump_json(header), _dump_json(manifest)
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as f:
+        f.write(MAGIC + struct.pack("<II", VERSION, len(header_b)) + header_b)
+        f.write(struct.pack("<I", len(manifest_b)) + manifest_b)
+        for arr in arrays.values():
+            f.write(np.ascontiguousarray(arr, dtype="<f4"))
+    os.replace(tmp, path)
 
 
-def read_arrays(path: str, manifest, blob: bytes, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
+def read(path: str) -> tuple[Any, Any, memoryview]:
+    """The header, manifest and blob of an INSR file; the blob is a view, not a copy.
+
+    A wrong magic or version, a length past the end of the file, or
+    unreadable JSON raises CheckpointError naming the file.
+    """
+    with open(path, "rb") as f:
+        data = f.read()
+    if data[:4] != MAGIC:
+        raise CheckpointError(f"{path}: bad magic {data[:4]!r}, expected {MAGIC!r}")
+    pos = 4
+
+    def take(n: int, what: str) -> bytes:
+        nonlocal pos
+        if pos + n > len(data):
+            raise CheckpointError(f"{path}: truncated: {what} ends past the {len(data)}-byte file")
+        pos += n
+        return data[pos - n : pos]
+
+    def u32(what: str) -> int:
+        return struct.unpack("<I", take(4, what))[0]
+
+    version = u32("version")
+    if version != VERSION:
+        raise CheckpointError(f"{path}: unsupported format version {version}")
+    try:
+        header = json.loads(take(u32("header length"), "header"))
+        manifest = json.loads(take(u32("manifest length"), "manifest"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise CheckpointError(f"{path}: unreadable header or manifest: {e}") from None
+    return header, manifest, memoryview(data)[pos:]
+
+
+def read_arrays(path: str, manifest, blob: memoryview, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
     """The float32 arrays a (name, shape, offset) manifest places in blob.
 
     The manifest must name exactly the arrays of `shapes`, with those

@@ -88,6 +88,7 @@ def _decode_config_from(model: InsertionModel, extra: dict, mode, beta, max_outp
         "mode": mode,
         "eos_penalty": beta,
         "max_output_length": max_output_length,
+        # older checkpoints may store a decode termination other than the loss's
         "termination": extra.get("loss", {}).get("termination"),
     }
     base.update({key: value for key, value in flags.items() if value is not None})

@@ -87,7 +87,12 @@ def config_from_dict(data: dict) -> RunConfig:
         raw = dict(data.get(name, {}))
         if name == "model":
             raw.setdefault("vocab_size", 0)
+        if name == "decode":
+            raw.setdefault("termination", sections["loss"].termination)
         sections[name] = build_section(name, cls, raw)
+    decode_t, loss_t = sections["decode"].termination, sections["loss"].termination
+    if decode_t != loss_t:
+        raise ConfigError(f"decode.termination {decode_t!r} must match loss.termination {loss_t!r}")
     return RunConfig(**sections)
 
 

@@ -45,6 +45,7 @@ import numpy as np
 
 from .canvas import TokenSeq, apply_parallel_insertions
 from .canvas import apply_insertion  # noqa: F401  unused here; perfbench/tracer.py wraps this name
+from .losses import TERMINATIONS
 from .model import conditional_log_probs
 from .vocab import LEFT_MARK, PAD, RIGHT_MARK, TERMINAL_IDS, UNK
 
@@ -67,6 +68,8 @@ class DecodeConfig:
             raise ValueError(f"eos_penalty must be nonnegative, got {self.eos_penalty}")
         if self.max_output_length < 1:
             raise ValueError(f"max_output_length must be at least 1, got {self.max_output_length}")
+        if self.termination not in TERMINATIONS:
+            raise ValueError(f"unknown termination {self.termination!r}")
 
 
 ActionRecord = tuple[int, int, float]  # (content, location, logprob)

@@ -61,8 +61,10 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
-        if self.steps < 0:
-            raise ValueError(f"steps must be >= 0, got {self.steps}")
+        # 0 means no warmup, no clipping, and a checkpoint only at the end
+        for name in ("steps", "warmup_steps", "clip_norm", "checkpoint_interval"):
+            if not getattr(self, name) >= 0:  # also rejects NaN
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass
@@ -225,33 +227,23 @@ def _length_buckets(batch: list[BatchItem], micro_batch: int) -> list[list[Batch
 
 
 def save_optimizer_state(path: str, state: OptimizerState) -> None:
-    manifest, arrays = ckpt.pack_arrays(
-        (f"{group}.{name}", arr)
+    arrays = {
+        f"{group}.{name}": arr
         for group, moments in (("m", state.m), ("v", state.v))
         for name, arr in moments.items()
-    )
-    payload = json.dumps({"step": state.step, "manifest": manifest}).encode()
-    ckpt.write_atomic(path, len(payload).to_bytes(4, "little"), payload, *arrays)
+    }
+    ckpt.write(path, {"step": state.step}, arrays)
 
 
 def load_optimizer_state(path: str, model: InsertionModel) -> OptimizerState:
     """Read a sidecar written by save_optimizer_state; a malformed one raises CheckpointError."""
-    with open(path, "rb") as f:
-        data = f.read()
-    if len(data) < 4:
-        raise ckpt.CheckpointError(f"{path}: truncated: length prefix ends past the {len(data)}-byte file")
-    n = int.from_bytes(data[:4], "little")
-    if 4 + n > len(data):
-        raise ckpt.CheckpointError(f"{path}: truncated: header ends past the {len(data)}-byte file")
+    header, manifest, blob = ckpt.read(path)
     try:
-        meta = json.loads(data[4 : 4 + n])
-        step, manifest = int(meta["step"]), meta["manifest"]
-    except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-        raise ckpt.CheckpointError(f"{path}: unreadable header: {type(e).__name__}: {e}") from None
+        state = OptimizerState(step=int(header["step"]))
+    except (KeyError, TypeError, ValueError) as e:
+        raise ckpt.CheckpointError(f"{path}: bad header: {type(e).__name__}: {e}") from None
     shapes = {f"{group}.{name}": p.shape for group in ("m", "v") for name, p in model.params.items()}
-    arrays = ckpt.read_arrays(path, manifest, data[4 + n :], shapes)
-    state = OptimizerState(step=step)
-    for key, arr in arrays.items():
+    for key, arr in ckpt.read_arrays(path, manifest, blob, shapes).items():
         group, name = key.split(".", 1)
         getattr(state, group)[name] = arr.astype(model.config.np_dtype)
     return state

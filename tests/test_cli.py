@@ -55,6 +55,17 @@ def test_config_round_trip_reruns_identically(tiny_run, tmp_path):
     assert losses1 == losses2
 
 
+def test_effective_config_records_the_loss_termination(tmp_path):
+    # decode.termination is not set, so it follows loss.termination
+    run_dir = tmp_path / "run"
+    argv = ["train", "--run-dir", str(run_dir)]
+    for o in TINY_OVERRIDES + ["train.steps=1", "loss.order=uniform", "loss.termination=sequence"]:
+        argv += ["--set", o]
+    assert main(argv) == 0
+    effective = json.load(open(run_dir / "config.effective"))
+    assert effective["decode"]["termination"] == effective["loss"]["termination"] == "sequence"
+
+
 def test_override_applies():
     cfg = load_config(None, ["loss.temperature=2.0"])
     assert cfg.loss.temperature == 2.0
@@ -314,6 +325,9 @@ def test_train_data_size_contract_is_a_usage_error(tmp_path, capsys, override, m
     "override, message",
     [
         pytest.param("train.steps=-1", "steps must be >= 0", id="negative-steps"),
+        pytest.param("train.warmup_steps=-3", "warmup_steps must be >= 0", id="negative-warmup"),
+        pytest.param("train.clip_norm=-1", "clip_norm must be >= 0", id="negative-clip-norm"),
+        pytest.param("train.checkpoint_interval=-5", "checkpoint_interval must be >= 0", id="negative-interval"),
         pytest.param("model.num_layers=0", "num_layers must be >= 1", id="no-layers"),
         pytest.param("task.content_vocab_size=true", "task.content_vocab_size must be int, got bool", id="bool-int"),
         pytest.param("train.steps=abc", "train.steps must be int, got str", id="string-int"),
@@ -323,6 +337,11 @@ def test_train_data_size_contract_is_a_usage_error(tmp_path, capsys, override, m
         pytest.param("train.batch_size=2.5", "train.batch_size must be int, got float", id="float-int"),
         pytest.param("loss.temperature=abc", "loss.temperature must be float, got str", id="string-float"),
         pytest.param("model.use_contextual_bias=1", "model.use_contextual_bias must be bool, got int", id="int-bool"),
+        pytest.param("decode.termination=bogus", "unknown termination 'bogus'", id="unknown-termination"),
+        pytest.param(
+            "decode.termination=sequence", "decode.termination 'sequence' must match loss.termination 'slot'",
+            id="termination-mismatch",
+        ),
     ],
 )
 def test_bad_config_value_is_a_usage_error(tmp_path, capsys, override, message):

@@ -517,8 +517,19 @@ def test_damaged_optimizer_state_raises_checkpoint_error(tmp_path):
     path = str(tmp_path / "opt.bin")
     save_optimizer_state(path, OptimizerState.for_model(model))
     raw = open(path, "rb").read()
-    header_len = int.from_bytes(raw[:4], "little")
-    cuts = [0, 3, 4, 4 + header_len // 2, 4 + header_len, 4 + header_len + 10, len(raw) // 2, len(raw) - 1]
+    # INSR layout: magic | version | header_len | header | manifest_len | manifest | blob
+    header_end = 12 + int.from_bytes(raw[8:12], "little")
+    blob_start = header_end + 4 + int.from_bytes(raw[header_end : header_end + 4], "little")
+    cuts = [
+        0, 2,  # magic
+        4, 6,  # version
+        8, 10,  # header length
+        12 + (header_end - 12) // 2,  # mid-header
+        header_end, header_end + 2,  # manifest length
+        (header_end + 4 + blob_start) // 2,  # mid-manifest
+        blob_start, (blob_start + len(raw)) // 2,  # blob
+        len(raw) - 1,  # the last byte
+    ]
     for cut in cuts:
         with open(path, "wb") as f:
             f.write(raw[:cut])
@@ -534,6 +545,18 @@ def test_damaged_optimizer_state_raises_checkpoint_error(tmp_path):
     save_optimizer_state(path, state)
     with pytest.raises(checkpoint.CheckpointError, match="missing"):
         load_optimizer_state(path, model)
+
+
+def test_checkpoint_and_sidecar_do_not_load_as_each_other(tmp_path):
+    # both are INSR files; the header tells them apart
+    model = tiny_model(dtype="float32")
+    insr, opt = str(tmp_path / "m.insr"), str(tmp_path / "m.insr.opt")
+    checkpoint.save(insr, model)
+    save_optimizer_state(opt, OptimizerState.for_model(model))
+    with pytest.raises(checkpoint.CheckpointError, match=r"m\.insr: bad header"):
+        load_optimizer_state(insr, model)
+    with pytest.raises(checkpoint.CheckpointError, match=r"m\.insr\.opt: bad header"):
+        checkpoint.load(opt)
 
 
 def test_optimizer_state_save_load_save_is_byte_identical(tmp_path):
