@@ -1,6 +1,8 @@
 """Command-line interface: train, decode, eval, trace-render.
 
-Exit codes: 0 success, 1 usage or config error, 2 runtime abort.
+Exit codes: 0 success; 1 usage or config error, bad input (a corrupt
+checkpoint, corpus or trace), or a path that cannot be read or written;
+2 runtime abort.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import sys
 
 from .canvas import TokenSeq
 from .checkpoint import CheckpointError, load as load_checkpoint
-from .config import ConfigError, RunConfig, build_section, load_config, write_effective_config
+from .config import ConfigError, build_section, load_config, write_effective_config
 from .decoding import (
     DecodeConfig,
     TraceFormatError,
@@ -22,7 +24,7 @@ from .decoding import (
     render_trace,
     write_trace,
 )
-from .model import InsertionModel
+from .model import InsertionModel, decoder_positions
 from .perf import limit_blas_threads
 from .tasks import (
     CorpusFormatError,
@@ -93,64 +95,29 @@ def _decode_config_from(model: InsertionModel, extra: dict, mode, beta, max_outp
     }
     base.update({key: value for key, value in flags.items() if value is not None})
     cfg = build_section("decode", DecodeConfig, base)
-    # the decoder scores canvases of up to max_output_length tokens, plus two markers
     n, positions = cfg.max_output_length, model.config.max_positions
-    if n + 2 > positions:
-        raise ConfigError(f"max_output_length {n} needs {n + 2} decoder positions; the model has {positions}")
+    if decoder_positions(n) > positions:
+        raise ConfigError(
+            f"max_output_length {n} needs {decoder_positions(n)} decoder positions; the model has {positions}"
+        )
     return cfg
 
 
-def _check_positions(config: RunConfig) -> None:
-    """Reject a run whose model is too short for its task or its stored decode limit.
-
-    Training feeds the decoder canvases of up to task.max_length tokens plus
-    two markers (the source needs only task.max_length), and decoding needs
-    decode.max_output_length plus two.
-    """
-    positions = config.model.max_positions
-    n = config.task.max_length
-    if n + 2 > positions:
-        raise ConfigError(
-            f"task.max_length {n} needs {n + 2} decoder positions for a full canvas; "
-            f"model.max_positions is {positions}"
-        )
-    n = config.decode.max_output_length
-    if n + 2 > positions:
-        raise ConfigError(
-            f"decode.max_output_length {n} needs {n + 2} decoder positions; model.max_positions is {positions}"
-        )
-
-
 def cmd_train(args) -> int:
-    config = load_config(args.config, args.overrides)
-    _check_positions(config)
-    if config.task.num_train == 0:
-        raise ConfigError("task.num_train is 0: training needs at least one pair")
+    config = load_config(args.config, args.overrides)  # rejects a run its model cannot hold
     os.makedirs(args.run_dir, exist_ok=True)
     write_effective_config(os.path.join(args.run_dir, "config.effective"), config)
     train_set, dev_set = generate_datasets(config.task)
     vocab = config.task.vocab()
     save_corpus(os.path.join(args.run_dir, "dev.tsv"), dev_set, vocab)
-    model_config = config.resolved_model()
-    if model_config.vocab_size < len(vocab):
-        raise ConfigError(
-            f"model vocab_size {model_config.vocab_size} smaller than task vocab {len(vocab)}"
-        )
-    model = InsertionModel(model_config, seed=config.train.seed)
+    model = InsertionModel(config.resolved_model(), seed=config.train.seed)
     extra = {
         "vocab": list(vocab.tokens),
         "loss": dataclasses.asdict(config.loss),
         "task": dataclasses.asdict(config.task),
         "decode": dataclasses.asdict(config.decode),
     }
-    train(
-        model,
-        train_set,
-        config.loss,
-        config.train,
-        run_dir=args.run_dir,
-        extra_meta=extra,
-    )
+    train(model, train_set, config.loss, config.train, run_dir=args.run_dir, extra_meta=extra)
     print(f"run complete: {args.run_dir} (final checkpoint ckpt-{config.train.steps}.insr)")
     return 0
 
@@ -266,7 +233,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_trace_render(args) -> int:
-    with open(args.trace_file, "r", encoding="utf-8") as f:
+    with open(args.trace_file, "rb") as f:  # read_trace decodes each line, so bad bytes get their offset
         trace, meta = read_trace(f)
     print(render_trace(trace, meta), end="")
     return 0
@@ -287,7 +254,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, CorpusFormatError, CheckpointError, TraceFormatError, FileNotFoundError) as e:
+    except (ConfigError, CorpusFormatError, CheckpointError, TraceFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
     except (TrainingDiverged, RuntimeError) as e:

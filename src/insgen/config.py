@@ -4,7 +4,8 @@ and task sections, with dotted-key command-line overrides.
 Unknown sections or keys are rejected by name, and so is a value whose
 JSON type does not match its field's annotation (no value is coerced). The
 resolved configuration is echoed into the run directory so a run can be
-reproduced exactly from its own artifacts.
+reproduced exactly from its own artifacts. A run its model cannot hold, or
+one with no train pairs, is rejected here, whoever loads the config.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .decoding import DecodeConfig
 from .losses import LossConfig
-from .model import ModelConfig
+from .model import ModelConfig, decoder_positions
 from .tasks import TaskSpec
 from .training import TrainConfig
 from .vocab import NUM_RESERVED
@@ -93,7 +94,23 @@ def config_from_dict(data: dict) -> RunConfig:
     decode_t, loss_t = sections["decode"].termination, sections["loss"].termination
     if decode_t != loss_t:
         raise ConfigError(f"decode.termination {decode_t!r} must match loss.termination {loss_t!r}")
-    return RunConfig(**sections)
+    config = RunConfig(**sections)
+    # training canvases reach task.max_length tokens, decoded ones decode.max_output_length
+    for key, n, purpose in (
+        ("task.max_length", config.task.max_length, " for a full canvas"),
+        ("decode.max_output_length", config.decode.max_output_length, ""),
+    ):
+        if decoder_positions(n) > config.model.max_positions:
+            raise ConfigError(
+                f"{key} {n} needs {decoder_positions(n)} decoder positions{purpose}; "
+                f"model.max_positions is {config.model.max_positions}"
+            )
+    vocab_size, task_vocab = config.resolved_model().vocab_size, len(config.task.vocab())
+    if vocab_size < task_vocab:
+        raise ConfigError(f"model vocab_size {vocab_size} smaller than task vocab {task_vocab}")
+    if config.task.num_train == 0:
+        raise ConfigError("task.num_train is 0: training needs at least one pair")
+    return config
 
 
 def load_config(path: str | None, overrides: list[str] = ()) -> RunConfig:

@@ -218,16 +218,9 @@ def write_trace(fh, trace: DecodeTrace, source: TokenSeq = (), vocab_tokens=None
         header["vocab"] = list(vocab_tokens)
     fh.write(json.dumps(header) + "\n")
     for s in trace.steps:
-        fh.write(
-            json.dumps(
-                {
-                    "canvas": list(s.canvas_before),
-                    "actions": [[c, l, lp] for c, l, lp in s.actions],
-                    "terminal": list(s.terminal) if s.terminal else None,
-                }
-            )
-            + "\n"
-        )
+        record = {"canvas": list(s.canvas_before), "actions": [list(a) for a in s.actions]}
+        record["terminal"] = list(s.terminal) if s.terminal else None
+        fh.write(json.dumps(record) + "\n")
 
 
 class TraceFormatError(ValueError):
@@ -238,37 +231,51 @@ class TraceFormatError(ValueError):
         self.offset = offset
 
 
+def _action_record(c, l, lp) -> ActionRecord:
+    return int(c), int(l), float(lp)
+
+
 def read_trace(fh) -> tuple[DecodeTrace, dict]:
-    offset = 0
-    line = fh.readline()
+    """Read a `write_trace` file, replaying its actions from the empty canvas.
+
+    Each record's canvas, then the header's `final`, must equal the replay;
+    anything else raises TraceFormatError with the byte offset of the line at
+    fault. Lines may be text or bytes; with bytes a non-UTF-8 line gets its own offset.
+    """
+    header, steps, canvas, offset = None, [], (), 0
     try:
-        header = json.loads(line)
-        if header.get("type") != "trace":
-            raise ValueError("missing trace header")
-    except ValueError as e:
-        raise TraceFormatError(f"bad trace header: {e}", offset) from None
-    offset += len(line.encode() if isinstance(line, str) else line)
-    steps = []
-    while True:
-        line = fh.readline()
-        if not line:
-            break
-        try:
-            rec = json.loads(line)
-            steps.append(
-                TraceStep(
-                    canvas_before=tuple(rec["canvas"]),
-                    actions=tuple((int(c), int(l), float(lp)) for c, l, lp in rec["actions"]),
-                    terminal=tuple(rec["terminal"]) if rec.get("terminal") else None,
+        while line := fh.readline():
+            rec = json.loads(line.decode("utf-8") if isinstance(line, bytes) else line)
+            if not isinstance(rec, dict):
+                raise ValueError("a line must hold a JSON object")
+            if header is None:
+                if rec.get("type") != "trace":
+                    raise ValueError("missing trace header")
+                vocab = rec.get("vocab", [])
+                if not isinstance(rec.get("final"), list) or not isinstance(rec.get("truncated"), bool):
+                    raise ValueError("the header needs a list 'final' and a bool 'truncated'")
+                if not isinstance(vocab, list) or not all(isinstance(t, str) for t in vocab):
+                    raise ValueError("the header's 'vocab' must be a list of strings")
+                header = rec
+            else:
+                terminal = rec.get("terminal")
+                step = TraceStep(
+                    tuple(rec["canvas"]),
+                    tuple(_action_record(*a) for a in rec["actions"]),
+                    _action_record(*terminal) if terminal else None,
                 )
-            )
-        except (ValueError, KeyError, TypeError) as e:
-            raise TraceFormatError(f"bad trace record: {e}", offset) from None
-        offset += len(line.encode() if isinstance(line, str) else line)
-    trace = DecodeTrace(
-        steps=steps, final=tuple(header["final"]), truncated=bool(header["truncated"])
-    )
-    return trace, header
+                if step.canvas_before != canvas:
+                    raise ValueError(f"canvas {list(step.canvas_before)} is not the replayed {list(canvas)}")
+                canvas = apply_parallel_insertions(canvas, [(c, l) for c, l, _ in step.actions])
+                steps.append(step)
+            offset += len(line.encode() if isinstance(line, str) else line)
+        if header is None:
+            raise ValueError("empty file")
+    except (ValueError, KeyError, TypeError) as e:
+        raise TraceFormatError(f"bad trace {'header' if header is None else 'record'}: {e}", offset) from None
+    if tuple(header["final"]) != canvas:
+        raise TraceFormatError(f"bad trace header: final {header['final']} is not the replayed {list(canvas)}", 0)
+    return DecodeTrace(steps=steps, final=canvas, truncated=header["truncated"]), header
 
 
 def render_trace(trace: DecodeTrace, meta: dict | None = None) -> str:

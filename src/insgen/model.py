@@ -78,6 +78,11 @@ class ModelConfig:
         return np.float32 if self.dtype == "float32" else np.float64
 
 
+def decoder_positions(n):
+    """Decoder positions a length-n canvas takes: the canvas plus its two boundary markers."""
+    return n + 2
+
+
 def sinusoidal_positions(max_positions: int, d_model: int, dtype) -> np.ndarray:
     """Fixed sin/cos positional table of shape (max_positions, d_model)."""
     pos = np.arange(max_positions, dtype=np.float64)[:, None]
@@ -239,16 +244,17 @@ class InsertionModel:
         valid iff l <= canvas length).
         """
         B, C = canvas.shape
-        if C + 2 > self.config.max_positions:
+        width = decoder_positions(C)
+        if width > self.config.max_positions:
             raise ValueError(
-                f"canvas length {C} needs {C + 2} positions, exceeding max_positions "
+                f"canvas length {C} needs {width} decoder positions, exceeding max_positions "
                 f"{self.config.max_positions}"
             )
-        ids = np.full((B, C + 2), PAD, dtype=np.int64)
+        ids = np.full((B, width), PAD, dtype=np.int64)
         ids[:, 0] = LEFT_MARK
         ids[:, 1 : C + 1] = canvas
         ids[np.arange(B), canvas_len + 1] = RIGHT_MARK
-        layout, key_mask = _layout(canvas_len + 2, C + 2)
+        layout, key_mask = _layout(decoder_positions(canvas_len), width)
 
         x = self._embed_positions(ids, layout)
         for i in range(self.config.num_layers):

@@ -159,21 +159,13 @@ def load_corpus(path: str, vocab: Vocab) -> Dataset:
         lines = f.read().splitlines()
     if not lines:
         raise CorpusFormatError(f"{path}: empty corpus")
-    raw: list[tuple[list[str], list[str]]] = []
+    dataset = []
     for num, line in enumerate(lines, start=1):
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise CorpusFormatError(
-                f"{path}:{num}: expected one tab separating source and target"
-            )
-        raw.append((parts[0].split(), parts[1].split()))
-    return [
-        (
-            tuple(vocab.id_of(t, allow_unk=True) for t in src),
-            tuple(vocab.id_of(t, allow_unk=True) for t in tgt),
-        )
-        for src, tgt in raw
-    ]
+        sides = line.split("\t")
+        if len(sides) != 2:
+            raise CorpusFormatError(f"{path}:{num}: expected one tab separating source and target")
+        dataset.append(tuple(tuple(vocab.id_of(t, allow_unk=True) for t in side.split()) for side in sides))
+    return dataset
 
 
 # -- metrics -----------------------------------------------------------------

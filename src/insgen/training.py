@@ -56,9 +56,12 @@ class TrainConfig:
     checkpoint_interval: int = 1000
 
     def __post_init__(self):
-        for name in ("learning_rate", "adam_beta1", "adam_beta2", "adam_eps"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("learning_rate", "adam_eps"):
+            if not 0 < getattr(self, name) < math.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        for name in ("adam_beta1", "adam_beta2"):  # beta = 1 divides by 1 - beta**t = 0
+            if not 0 < getattr(self, name) < 1:
+                raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         # 0 means no warmup, no clipping, and a checkpoint only at the end

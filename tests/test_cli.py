@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -70,6 +71,21 @@ def test_override_applies():
     cfg = load_config(None, ["loss.temperature=2.0"])
     assert cfg.loss.temperature == 2.0
     assert load_config(None, ["loss.temperature=2"]).loss.temperature == 2  # an int is a float
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        pytest.param(["task.min_length=66", "task.max_length=70"], "task.max_length 70 needs 72", id="task-max-length"),
+        pytest.param(["decode.max_output_length=63"], "decode.max_output_length 63 needs 65", id="decode-length"),
+        pytest.param(["model.vocab_size=7"], "model vocab_size 7 smaller than task vocab", id="vocab-too-small"),
+        pytest.param(["task.num_train=0"], "task.num_train is 0", id="no-train-pairs"),
+    ],
+)
+def test_load_config_rejects_a_run_its_model_cannot_hold(overrides, message):
+    # library callers get the same run checks as `insgen train`
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(None, overrides)
 
 
 def test_invalid_override_key_named():
@@ -160,9 +176,56 @@ def test_trace_render_malformed_reports_offset(tmp_path, capsys):
     assert "byte offset" in capsys.readouterr().err
 
 
+GOOD_HEADER = b'{"type": "trace", "version": 1, "final": [6], "truncated": false}\n'
+
+
+def _record(canvas, actions):
+    return json.dumps({"canvas": canvas, "actions": actions, "terminal": None}).encode() + b"\n"
+
+
+@pytest.mark.parametrize(
+    "content, offset",
+    [
+        pytest.param(b'{"type": "trace", "version": 1, "truncated": false}\n', 0, id="header-without-final"),
+        pytest.param(b'[{"type": "trace"}]\n', 0, id="header-is-a-list"),
+        pytest.param(GOOD_HEADER + _record([], [[6, 3, -0.1]]), len(GOOD_HEADER), id="location-outside-canvas"),
+        pytest.param(GOOD_HEADER + b'{"canvas": \xff\xfe}\n', len(GOOD_HEADER), id="not-utf8"),
+        pytest.param(GOOD_HEADER + _record([6], [[6, 0, -0.1]]), len(GOOD_HEADER), id="canvas-not-the-replay"),
+        pytest.param(GOOD_HEADER + _record([], [[7, 0, -0.1]]) + _record([7], []), 0, id="final-not-the-replay"),
+    ],
+)
+def test_trace_render_corrupt_trace_is_a_usage_error(tmp_path, capsys, content, offset):
+    bad = tmp_path / "bad.trace"
+    bad.write_bytes(content)
+    assert main(["trace-render", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and f"(byte offset {offset})" in captured.err, captured.err
+    assert "Traceback" not in captured.err and len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
 def test_missing_file_exit_code(capsys):
     assert main(["trace-render", "/nonexistent/file.trace"]) == 1
     assert main(["train", "--config", "/nonexistent/cfg.json", "--run-dir", "/tmp/x"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["decode", "--checkpoint", "{run}", "--tokens", "w0"], id="checkpoint-is-a-directory"),
+        pytest.param(["decode", "--checkpoint", "{ckpt}", "--input", "{dir}"], id="input-is-a-directory"),
+        pytest.param(["train", "--run-dir", "{file}", "--set", "train.steps=1"], id="run-dir-is-a-file"),
+        pytest.param(["eval", "--checkpoint", "{ckpt}", "--limit", "2", "--out-dir", "{file}"], id="out-dir-is-a-file"),
+    ],
+)
+def test_unreadable_path_is_a_usage_error(tiny_run, tmp_path, capsys, argv):
+    a_file = tmp_path / "a-file"
+    a_file.write_text("")
+    paths = {"run": tiny_run, "ckpt": os.path.join(tiny_run, "ckpt-8.insr"), "dir": str(tmp_path), "file": str(a_file)}
+    assert main([a.format(**paths) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "Traceback" not in captured.err, captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_usage_error_exit_code(capsys):
@@ -342,6 +405,10 @@ def test_train_data_size_contract_is_a_usage_error(tmp_path, capsys, override, m
             "decode.termination=sequence", "decode.termination 'sequence' must match loss.termination 'slot'",
             id="termination-mismatch",
         ),
+        pytest.param("train.learning_rate=NaN", "learning_rate must be finite and > 0", id="nan-learning-rate"),
+        pytest.param("train.adam_beta2=1", "adam_beta2 must lie in (0, 1)", id="beta2-one"),
+        pytest.param("train.adam_beta1=1.5", "adam_beta1 must lie in (0, 1)", id="beta1-above-one"),
+        pytest.param("model.vocab_size=7", "model vocab_size 7 smaller than task vocab", id="vocab-too-small"),
     ],
 )
 def test_bad_config_value_is_a_usage_error(tmp_path, capsys, override, message):
