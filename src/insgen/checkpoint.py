@@ -11,9 +11,9 @@ are the only code that knows this layout, and `read_arrays` the only check
 of a manifest against the arrays a caller expects.
 
 A model checkpoint (`save`/`load`) has header {"config": model config,
-"extra": metadata such as vocab and loss/task settings} and one array per
-parameter. The optimizer sidecar (`training.save_optimizer_state`) has
-header {"step": k} and arrays m.<param> and v.<param>. Writing streams each
+"extra": the run's record, `config.RunConfig.checkpoint_record()`} and
+one array per parameter. The optimizer sidecar (`save_optimizer_state` in
+training) has header {"step": k} and arrays m.<param> and v.<param>. Writing streams each
 array's bytes straight to the file (no blob is built in memory), is atomic
 (write temp, rename), and save -> load -> save round-trips byte-identically.
 """

@@ -1,5 +1,9 @@
 """Command-line interface: train, decode, eval, trace-render.
 
+`decode` and `eval` read a checkpoint's run through
+`config.run_from_checkpoint`, so its record gets every check a train config
+gets; this module checks only the sources it reads.
+
 Exit codes: 0 success; 1 usage or config error, bad input (a corrupt
 checkpoint, corpus or trace), or a path that cannot be read or written;
 2 runtime abort.
@@ -14,26 +18,11 @@ import sys
 
 from .canvas import TokenSeq
 from .checkpoint import CheckpointError, load as load_checkpoint
-from .config import ConfigError, build_section, load_config, write_effective_config
-from .decoding import (
-    DecodeConfig,
-    TraceFormatError,
-    beta_sweep_values,
-    decode,
-    read_trace,
-    render_trace,
-    write_trace,
-)
-from .model import InsertionModel, decoder_positions
+from .config import ConfigError, RunConfig, load_config, run_from_checkpoint, write_effective_config
+from .decoding import DecodeConfig, TraceFormatError, beta_sweep_values, decode, read_trace, render_trace, write_trace
+from .model import InsertionModel
 from .perf import limit_blas_threads
-from .tasks import (
-    CorpusFormatError,
-    TaskSpec,
-    evaluate,
-    generate_datasets,
-    load_corpus,
-    save_corpus,
-)
+from .tasks import CorpusFormatError, evaluate, generate_datasets, load_corpus, save_corpus
 from .training import TrainingDiverged, train
 from .vocab import Vocab
 
@@ -83,50 +72,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _decode_config_from(model: InsertionModel, extra: dict, mode, beta, max_output_length) -> DecodeConfig:
-    base = dict(extra.get("decode", {}))
-    base.pop("max_iterations", None)  # stored by older checkpoints; the option is gone
-    flags = {
-        "mode": mode,
-        "eos_penalty": beta,
-        "max_output_length": max_output_length,
-        # older checkpoints may store a decode termination other than the loss's
-        "termination": extra.get("loss", {}).get("termination"),
-    }
-    base.update({key: value for key, value in flags.items() if value is not None})
-    cfg = build_section("decode", DecodeConfig, base)
-    n, positions = cfg.max_output_length, model.config.max_positions
-    if decoder_positions(n) > positions:
-        raise ConfigError(
-            f"max_output_length {n} needs {decoder_positions(n)} decoder positions; the model has {positions}"
-        )
-    return cfg
-
-
 def cmd_train(args) -> int:
     config = load_config(args.config, args.overrides)  # rejects a run its model cannot hold
     os.makedirs(args.run_dir, exist_ok=True)
     write_effective_config(os.path.join(args.run_dir, "config.effective"), config)
     train_set, dev_set = generate_datasets(config.task)
-    vocab = config.task.vocab()
-    save_corpus(os.path.join(args.run_dir, "dev.tsv"), dev_set, vocab)
+    save_corpus(os.path.join(args.run_dir, "dev.tsv"), dev_set, config.task.vocab())
     model = InsertionModel(config.resolved_model(), seed=config.train.seed)
-    extra = {
-        "vocab": list(vocab.tokens),
-        "loss": dataclasses.asdict(config.loss),
-        "task": dataclasses.asdict(config.task),
-        "decode": dataclasses.asdict(config.decode),
-    }
-    train(model, train_set, config.loss, config.train, run_dir=args.run_dir, extra_meta=extra)
+    train(model, train_set, config.loss, config.train, run_dir=args.run_dir, extra_meta=config.checkpoint_record())
     print(f"run complete: {args.run_dir} (final checkpoint ckpt-{config.train.steps}.insr)")
     return 0
 
 
-def _load_model(path: str) -> tuple[InsertionModel, dict, Vocab]:
-    model, extra = load_checkpoint(path)
-    if "vocab" not in extra:
-        raise CheckpointError(f"{path}: checkpoint carries no vocabulary")
-    return model, extra, Vocab(tokens=tuple(extra["vocab"]))
+def _load_run(path: str, **decode_flags) -> tuple[InsertionModel, RunConfig, Vocab]:
+    """A checkpoint's model and the run it records (see `config.run_from_checkpoint`)."""
+    model, record = load_checkpoint(path)
+    try:
+        run, vocab = run_from_checkpoint(model.config, record, **decode_flags)
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}") from None
+    return model, run, vocab
 
 
 def _check_source(x: TokenSeq, model: InsertionModel, where: str) -> None:
@@ -157,11 +122,12 @@ def _read_sources(args, vocab: Vocab, model: InsertionModel) -> list[TokenSeq]:
 
 
 def cmd_decode(args) -> int:
-    model, extra, vocab = _load_model(args.checkpoint)
-    config = _decode_config_from(model, extra, args.mode, args.beta, args.max_output_length)
+    model, run, vocab = _load_run(
+        args.checkpoint, mode=args.mode, eos_penalty=args.beta, max_output_length=args.max_output_length
+    )
     sources = _read_sources(args, vocab, model)
     for index, x in enumerate(sources):
-        out, trace = decode(model, x, config)
+        out, trace = decode(model, x, run.decode)
         print(vocab.decode(out))
         if args.trace:
             path = args.trace
@@ -187,16 +153,12 @@ def _sweep_configs(raw: str, config: DecodeConfig) -> list[DecodeConfig]:
 def cmd_eval(args) -> int:
     if args.limit is not None and args.limit < 1:
         raise ConfigError(f"--limit must be at least 1, got {args.limit}")
-    model, extra, vocab = _load_model(args.checkpoint)
-    config = _decode_config_from(model, extra, args.mode, args.beta, None)
-    sweep = _sweep_configs(args.sweep_beta, config) if args.sweep_beta else None
+    model, run, vocab = _load_run(args.checkpoint, mode=args.mode, eos_penalty=args.beta)
+    sweep = _sweep_configs(args.sweep_beta, run.decode) if args.sweep_beta else None
     if args.data is not None:
         dataset = load_corpus(args.data, vocab)
     else:
-        task_info = extra.get("task")
-        if not task_info:
-            raise ConfigError("checkpoint has no task info; pass --data")
-        _, dataset = generate_datasets(build_section("task", TaskSpec, task_info))
+        _, dataset = generate_datasets(run.task)
         if not dataset:
             raise ConfigError(f"{args.checkpoint}: the task's dev split is empty (task.num_dev 0); pass --data")
     if args.limit is not None:
@@ -223,7 +185,7 @@ def cmd_eval(args) -> int:
         print(table, end="")
         return 0
 
-    report = evaluate(model, dataset, config)
+    report = evaluate(model, dataset, run.decode)
     with open(os.path.join(out_dir, "report.txt"), "w", encoding="utf-8") as f:
         f.write(report.render())
     with open(os.path.join(out_dir, "iterations.tsv"), "w", encoding="utf-8") as f:

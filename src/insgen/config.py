@@ -5,7 +5,9 @@ Unknown sections or keys are rejected by name, and so is a value whose
 JSON type does not match its field's annotation (no value is coerced). The
 resolved configuration is echoed into the run directory so a run can be
 reproduced exactly from its own artifacts. A run its model cannot hold, or
-one with no train pairs, is rejected here, whoever loads the config.
+one with no train pairs, is rejected here, whoever loads the config. A
+checkpoint records its run as `RunConfig.checkpoint_record()`, and
+`run_from_checkpoint` reads it back through the same checks.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .losses import LossConfig
 from .model import ModelConfig, decoder_positions
 from .tasks import TaskSpec
 from .training import TrainConfig
-from .vocab import NUM_RESERVED
+from .vocab import NUM_RESERVED, Vocab
 
 
 class ConfigError(ValueError):
@@ -45,6 +47,11 @@ class RunConfig:
     def to_dict(self) -> dict:
         return {name: dataclasses.asdict(getattr(self, name)) for name in _SECTIONS}
 
+    def checkpoint_record(self) -> dict:
+        """What a checkpoint records of its run (its vocab, loss, task and decode sections)."""
+        sections = {name: dataclasses.asdict(getattr(self, name)) for name in _RECORDED}
+        return {"vocab": list(self.task.vocab().tokens), **sections}
+
 
 _SECTIONS = {
     "model": ModelConfig,
@@ -53,6 +60,7 @@ _SECTIONS = {
     "decode": DecodeConfig,
     "task": TaskSpec,
 }
+_RECORDED = ("loss", "task", "decode")  # the sections a checkpoint records, with its vocab
 
 
 def _section_fields(cls) -> set[str]:
@@ -85,6 +93,8 @@ def config_from_dict(data: dict) -> RunConfig:
         raise ConfigError(f"unknown config section(s): {', '.join(sorted(unknown))}")
     sections = {}
     for name, cls in _SECTIONS.items():
+        if not isinstance(data.get(name, {}), dict):
+            raise ConfigError(f"config section [{name}] must be an object")
         raw = dict(data.get(name, {}))
         if name == "model":
             raw.setdefault("vocab_size", 0)
@@ -111,6 +121,31 @@ def config_from_dict(data: dict) -> RunConfig:
     if config.task.num_train == 0:
         raise ConfigError("task.num_train is 0: training needs at least one pair")
     return config
+
+
+def run_from_checkpoint(model_config: ModelConfig, record, **decode_flags) -> tuple[RunConfig, Vocab]:
+    """The run and vocab a checkpoint records, held to every check a train config gets.
+
+    Non-None `decode_flags` override recorded decode keys. A stored
+    `max_iterations` (a removed option) and termination (it follows the
+    loss) are dropped.
+    """
+    record = record if isinstance(record, dict) else {}
+    missing = [name for name in ("vocab",) + _RECORDED if name not in record]
+    if missing:
+        raise ConfigError(f"checkpoint records no {', '.join(missing)}")
+    data = {name: record[name] for name in _RECORDED}
+    if isinstance(data["decode"], dict):
+        data["decode"] = {k: v for k, v in data["decode"].items() if k not in ("max_iterations", "termination")}
+        data["decode"].update({k: v for k, v in decode_flags.items() if v is not None})
+    config = config_from_dict({**data, "model": dataclasses.asdict(model_config)})
+    try:
+        vocab = Vocab(tokens=tuple(record["vocab"]))
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad recorded vocab: {e}") from None
+    if len(vocab) > model_config.vocab_size:
+        raise ConfigError(f"recorded vocab has {len(vocab)} tokens; model.vocab_size is {model_config.vocab_size}")
+    return config, vocab
 
 
 def load_config(path: str | None, overrides: list[str] = ()) -> RunConfig:

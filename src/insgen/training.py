@@ -262,14 +262,15 @@ def train(
     config: TrainConfig,
     run_dir: str | None = None,
     extra_meta: dict | None = None,
-    resume_step: int = 0,
     opt_state: OptimizerState | None = None,
 ) -> tuple[OptimizerState, list[tuple[int, float]]]:
     """Run the optimization loop; returns optimizer state and (step, loss) history.
 
-    With a run_dir, appends to metrics.log and writes ckpt-{step}.insr (+
-    .opt sidecar with the Adam moments) every checkpoint_interval steps and
-    at the end. Aborts on a non-finite loss with a diagnostic snapshot.
+    It runs steps opt_state.step + 1 to config.steps, so a loaded sidecar's
+    state resumes the run. With a run_dir, appends to metrics.log and writes
+    ckpt-{step}.insr (+ .opt sidecar with the Adam moments) every
+    checkpoint_interval steps and at the end. Aborts on a non-finite loss
+    with a diagnostic snapshot.
     """
     if opt_state is None:
         opt_state = OptimizerState.for_model(model)
@@ -289,7 +290,7 @@ def train(
 
     wrote_final = False
     try:
-        for step in range(resume_step + 1, config.steps + 1):
+        for step in range(opt_state.step + 1, config.steps + 1):
             rng = np.random.default_rng([config.seed, step])
             batch = make_training_batch(dataset, loss_config, rng, config.batch_size)
             loss = train_step(model, batch, opt_state, config)

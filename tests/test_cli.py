@@ -430,6 +430,8 @@ def test_bad_config_value_is_a_usage_error(tmp_path, capsys, override, message):
     [
         pytest.param({"num_dev": 0}, "dev split is empty", id="empty-dev-split"),
         pytest.param({"content_vocab_size": 0}, "content_vocab_size must be >= 1", id="no-content-tokens"),
+        pytest.param({"min_length": 66, "max_length": 70}, "task.max_length 70 needs 72", id="task-past-positions"),
+        pytest.param({"content_vocab_size": 20}, "smaller than task vocab", id="task-vocab-past-model"),
     ],
 )
 def test_eval_on_a_bad_task_checkpoint_is_a_usage_error(tiny_run, tmp_path, capsys, change, message):
@@ -437,10 +439,57 @@ def test_eval_on_a_bad_task_checkpoint_is_a_usage_error(tiny_run, tmp_path, caps
     extra["task"].update(change)
     path = str(tmp_path / "bad-task.insr")
     checkpoint.save(path, model, extra=extra)
-    assert main(["eval", "--checkpoint", path, "--out-dir", str(tmp_path / "eval")]) == 1
+    assert main(["eval", "--checkpoint", path, "--limit", "2", "--out-dir", str(tmp_path / "eval")]) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error:") and message in captured.err, captured.err
-    assert "Traceback" not in captured.err and captured.out == ""
+    assert captured.err.startswith(f"error: {path}:") and message in captured.err, captured.err
+    assert "Traceback" not in captured.err and len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        pytest.param(lambda e: e["vocab"].extend(["x0", "x1"]), "recorded vocab has 14 tokens", id="vocab-past-model"),
+        pytest.param(lambda e: e.pop("loss"), "checkpoint records no loss", id="no-loss"),
+        pytest.param(lambda e: e.clear(), "checkpoint records no vocab, loss, task, decode", id="empty-record"),
+        pytest.param(lambda e: e.update(decode=[]), "config section [decode] must be an object", id="decode-not-object"),
+        pytest.param(lambda e: e.update(vocab=["w0"]), "bad recorded vocab", id="vocab-without-reserved"),
+    ],
+)
+def test_decode_on_a_bad_record_is_a_usage_error(tiny_run, tmp_path, capsys, change, message):
+    # a checkpoint's record goes through the same checks as a train config
+    model, extra = checkpoint.load(os.path.join(tiny_run, "ckpt-8.insr"))
+    change(extra)
+    path = str(tmp_path / "bad-record.insr")
+    checkpoint.save(path, model, extra=extra)
+    assert main(["decode", "--checkpoint", path, "--tokens", "w0 w1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}:") and message in captured.err, captured.err
+    assert "Traceback" not in captured.err and len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
+def test_eval_on_the_pinned_legacy_checkpoint(tmp_path, capsys):
+    # the pinned checkpoint stores decode.max_iterations, an option that is gone
+    pinned = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "data", "copy-btree.insr")
+    assert "max_iterations" in checkpoint.load(pinned)[1]["decode"]
+    assert main(["eval", "--checkpoint", pinned, "--limit", "4", "--out-dir", str(tmp_path / "eval")]) == 0
+    assert "items\t4" in capsys.readouterr().out
+
+
+def test_stored_decode_termination_follows_the_loss(tiny_run, tmp_path, capsys):
+    # older checkpoints may store a decode termination other than the loss's
+    ckpt = os.path.join(tiny_run, "ckpt-8.insr")
+    model, extra = checkpoint.load(ckpt)
+    assert extra["loss"]["termination"] == "slot"
+    extra["decode"]["termination"] = "sequence"
+    stored = str(tmp_path / "termination.insr")
+    checkpoint.save(stored, model, extra=extra)
+    argv = ["--tokens", "w0 w1 w2", "--mode", "parallel"]
+    assert main(["decode", "--checkpoint", ckpt] + argv) == 0
+    expected = capsys.readouterr().out
+    assert main(["decode", "--checkpoint", stored] + argv) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_eval_limit_builds_only_the_dev_pairs_it_reads(tiny_run, tmp_path, capsys, monkeypatch):

@@ -314,9 +314,7 @@ def test_resume_reproduces_uninterrupted_run(tmp_path):
     train(model_b, dataset, loss_config, half, run_dir=run_b)
     resumed, _ = checkpoint.load(os.path.join(run_b, "ckpt-8.insr"))
     opt = load_optimizer_state(os.path.join(run_b, "ckpt-8.insr.opt"), resumed)
-    _, hist_resumed = train(
-        resumed, dataset, loss_config, config, resume_step=8, opt_state=opt
-    )
+    _, hist_resumed = train(resumed, dataset, loss_config, config, opt_state=opt)
     np.testing.assert_allclose(
         [l for _, l in hist_a[8:]], [l for _, l in hist_resumed], rtol=1e-6
     )
