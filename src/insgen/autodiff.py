@@ -1,18 +1,20 @@
 """Minimal dense-tensor arithmetic with reverse-mode automatic differentiation.
 
 Just enough machinery for a small encoder-decoder attention model: matmul,
-softmax, layer norm, fused multi-head attention, embedding lookups, gathers,
-row gathers and scatters between padded slabs and their real rows, and
-reductions. Tensors wrap numpy arrays; a Tape records ops in execution
-order (which is already topological) and replays them in reverse to
-accumulate gradients.
+softmax, layer norm, fused multi-head attention (its heads are strided
+views; it copies only to make keys, values or scores key-major), embedding
+lookups, gathers, row gathers and scatters between padded slabs and their
+real rows, and reductions. Tensors wrap numpy arrays; a Tape records ops in
+execution order (which is already topological) and replays them in reverse
+to accumulate gradients.
 
 A tape holds only what its backward reads. Each recorded node keeps its
 backward closure and, per input, where that input's gradient goes: the
 tape-local index of its producer node, the leaf Tensor itself, or None
 when it needs no gradient. A closure captures the arrays, shapes and
 dtypes its formula reads (an affine keeps its operand arrays, an add only
-shapes), never an input Tensor, and nothing holds an op's output but the
+shapes, attention its weights and views of the scaled queries, keys and
+values), never an input Tensor, and nothing holds an op's output but the
 caller. So once the forward has returned, the tape's memory is the saved
 arrays, not every intermediate. An output links to its producer through
 `Tensor.node`; a node names its tape by serial number only, so tapes form
@@ -135,7 +137,7 @@ class _Node:
 
     __slots__ = ("backward_fn", "parents", "tape", "index")
 
-    def __init__(self, backward_fn, parents: tuple, tape: int, index: int):
+    def __init__(self, backward_fn, parents: list, tape: int, index: int):
         self.backward_fn = backward_fn
         self.parents = parents
         self.tape = tape
@@ -188,11 +190,15 @@ def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
     if _FINITE_CHECKS and not np.all(np.isfinite(out.data)):
         raise FloatingPointError("op produced non-finite values")
     tape = _active_tape()
-    if tape is not None and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        serial, nodes = tape.serial, tape.nodes
-        out.node = _Node(backward_fn, tuple(_parent(t, serial) for t in inputs), serial, len(nodes))
-        nodes.append(out.node)
+    if tape is None:
+        return out
+    serial, nodes = tape.serial, tape.nodes
+    parents = [_parent(t, serial) for t in inputs]
+    if parents.count(None) == len(parents):  # no input needs a gradient
+        return out
+    out.requires_grad = True
+    out.node = _Node(backward_fn, parents, serial, len(nodes))
+    nodes.append(out.node)
     return out
 
 
@@ -447,6 +453,11 @@ def attention(
     mask, when given, is boolean with True marking visible keys and must
     broadcast to (B, Tq, Tk); with mask=None every position attends to
     every position.
+
+    Heads are strided views, passed to BLAS as they are; w @ v and the
+    backward's gq, gk, gv are written in place into new (B, T, h) arrays.
+    Only k and v on a product's right (a transposed view rounds otherwise
+    in float64 BLAS) and the scores for the exact row max are copied, key-major.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     if q.data.ndim != 3 or q.shape[::2] != k.shape[::2] or k.shape != v.shape:  # (B, h) of q and k agree
@@ -460,46 +471,45 @@ def attention(
     Tk = k.shape[1]
     scale = q.data.dtype.type(1.0 / math.sqrt(d))
 
-    def split(x):  # (B, T, h) -> contiguous (B, heads, T, d)
-        return np.ascontiguousarray(x.reshape(B, -1, num_heads, d).transpose(0, 2, 1, 3))
+    def heads(x):  # (B, T, h) -> (B, heads, T, d), a strided view
+        return x.reshape(B, -1, num_heads, d).transpose(0, 2, 1, 3)
 
-    def transposed(x):  # (..., m, n) -> contiguous (..., n, m)
-        return np.ascontiguousarray(np.swapaxes(x, -1, -2))
+    def key_major(x):  # (..., Tk, n) -> contiguous (..., n, Tk)
+        return np.ascontiguousarray(x.swapaxes(-1, -2))
 
-    qh, vh = split(q.data * scale), split(v.data)
-    kt = np.ascontiguousarray(k.data.reshape(B, Tk, num_heads, d).transpose(0, 2, 3, 1))  # (B, heads, d, Tk)
-    scores = qh @ kt
+    def product(a, b):  # a @ b per head, written in place into a new C-contiguous (B, T, h)
+        x = np.empty((B, a.shape[-2], h), dtype=np.result_type(a, b))
+        np.matmul(a, b, out=heads(x))
+        return x
+
+    qh, kh, vh = heads(q.data * scale), heads(k.data), heads(v.data)
+    scores = qh @ key_major(kh)
     if mask is not None:
         m = np.asarray(mask, dtype=bool)
         if m.ndim != 3 or any(
             ms not in (1, full) for ms, full in zip(m.shape, (B, Tq, Tk))
         ):
             raise ShapeError(f"attention mask {m.shape} does not broadcast to {(B, Tq, Tk)}")
-        scores += np.where(m, 0.0, -1e9).astype(scores.dtype)[:, None, :, :]
+        dt = scores.dtype.type
+        scores += np.where(m, dt(0), dt(-1e9))[:, None, :, :]
     # each row's max over a key-major copy: a contiguous reduction beats a strided one, and a max is exact in any order
-    scores -= transposed(scores.reshape(-1, Tk)).max(axis=0).reshape(scores.shape[:-1] + (1,))
+    scores -= key_major(scores.reshape(-1, Tk)).max(axis=0).reshape(scores.shape[:-1] + (1,))
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
     w = scores
-    oh = w @ vh
-    out_data = np.ascontiguousarray(oh.transpose(0, 2, 1, 3)).reshape(B, Tq, h)
-    out = Tensor(out_data)
+    out = Tensor(product(w, vh))
 
     def bwd(g):
-        goh = np.ascontiguousarray(g.reshape(B, Tq, num_heads, d).transpose(0, 2, 1, 3))
-        gw = goh @ transposed(vh)
-        gvh = transposed(w) @ goh
+        goh = heads(g)
+        gw = goh @ key_major(vh)
+        gv = product(w.swapaxes(-1, -2), goh)
         gs = gw
         gs -= np.einsum("bhij,bhij->bhi", gw, w)[..., None]
         gs *= w
-        gqh = gs @ transposed(kt)
-        gqh *= scale
-        gkh = transposed(gs) @ qh  # qh holds the pre-scaled queries
-
-        def merge(x):  # (B, heads, T, d) -> (B, T, h)
-            return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(B, -1, h)
-
-        return merge(gqh), merge(gkh), merge(gvh)
+        gq = product(gs, kh)
+        gq *= scale
+        gk = product(gs.swapaxes(-1, -2), qh)  # qh holds the pre-scaled queries
+        return gq, gk, gv
 
     return _record(out, (q, k, v), bwd)
 

@@ -288,6 +288,21 @@ def test_second_backward_on_a_tape_raises():
     np.testing.assert_array_equal(x.grad, 2 * np.ones(3))  # the failed call added nothing
 
 
+def test_an_op_records_nothing_without_a_tape_or_an_input_needing_a_gradient():
+    rng = np.random.default_rng(3)
+    x = ad.tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
+    c = ad.tensor(rng.normal(size=(1, 3, 4)))
+    w, b = ad.tensor(rng.normal(size=(4, 4))), ad.tensor(np.zeros(4))
+    for out in (ad.add(x, x), ad.attention(x, x, x, num_heads=2), ad.affine(x, w, b)):  # no tape open
+        assert not out.requires_grad and out.node is None
+    with ad.Tape() as tape:
+        ad.add(x, c)
+        count = len(tape.nodes)
+        for out in (ad.add(c, c), ad.attention(c, c, c, num_heads=2), ad.affine(c, w, b)):
+            assert not out.requires_grad and out.node is None
+    assert len(tape.nodes) == count == 1
+
+
 def test_backward_rejects_nonscalar_loss():
     x = ad.tensor(np.ones(3), requires_grad=True)
     with ad.Tape() as tape:
@@ -421,3 +436,78 @@ def test_attention_without_mask_equals_an_all_true_mask_bit_for_bit(dtype):
         results.append([out.data] + [t.grad for t in ts])
     for a, b in zip(*results):
         assert _same_bits(a, b)
+
+
+def _attention_with_head_copies(q, k, v, num_heads, mask, g):
+    """attention's forward and backward as written with contiguous per-head copies.
+
+    Returns the output and the gradients of q, k and v for the output gradient g.
+    """
+    B, Tq, h = q.shape
+    Tk, d = k.shape[1], h // num_heads
+    scale = q.dtype.type(1.0 / np.sqrt(d))
+
+    def split(x):  # (B, T, h) -> contiguous (B, heads, T, d)
+        return np.ascontiguousarray(x.reshape(B, -1, num_heads, d).transpose(0, 2, 1, 3))
+
+    def transposed(x):
+        return np.ascontiguousarray(np.swapaxes(x, -1, -2))
+
+    def merge(x):  # (B, heads, T, d) -> (B, T, h)
+        return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(B, -1, h)
+
+    qh, vh = split(q * scale), split(v)
+    kt = transposed(split(k))
+    scores = qh @ kt
+    if mask is not None:
+        scores += np.where(mask, 0.0, -1e9).astype(scores.dtype)[:, None, :, :]
+    scores -= transposed(scores.reshape(-1, Tk)).max(axis=0).reshape(scores.shape[:-1] + (1,))
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    w = scores
+    out = merge(w @ vh)
+    goh = split(g)
+    gw = goh @ transposed(vh)
+    gvh = transposed(w) @ goh
+    gs = gw
+    gs -= np.einsum("bhij,bhij->bhi", gw, w)[..., None]
+    gs *= w
+    gqh = gs @ transposed(kt)
+    gqh *= scale
+    gkh = transposed(gs) @ qh
+    return out, merge(gqh), merge(gkh), merge(gvh)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mask_kind", [None, "keys", "full"])
+@pytest.mark.parametrize(
+    "B, Tq, Tk, num_heads",
+    [
+        (8, 24, 24, 4),
+        (8, 12, 20, 4),
+        (1, 7, 5, 1),
+        (1, 1, 1, 4),  # a length-1 source
+        (8, 1, 1, 1),
+        (1, 9, 9, 4),
+        (8, 3, 11, 1),
+        (8, 1, 6, 4),
+        (2, 5, 1, 4),
+    ],
+)
+def test_attention_matches_a_heads_as_copies_reference_bit_for_bit(dtype, mask_kind, B, Tq, Tk, num_heads):
+    rng = np.random.default_rng(B * 1000 + Tq * 100 + Tk * 10 + num_heads)
+    h = 16 * num_heads  # the model's head width
+    q = rng.normal(size=(B, Tq, h)).astype(dtype)
+    k, v = (rng.normal(size=(B, Tk, h)).astype(dtype) for _ in range(2))
+    g = rng.normal(size=(B, Tq, h)).astype(dtype)
+    mask = None
+    if mask_kind is not None:
+        mask = rng.random(size=(B, 1 if mask_kind == "keys" else Tq, Tk)) < 0.7
+        mask[..., 0] = True  # every query sees at least one key
+    ts = [ad.tensor(a, requires_grad=True) for a in (q, k, v)]
+    with ad.Tape() as tape:
+        out = ad.attention(*ts, num_heads=num_heads, mask=mask)
+    grads = tape.nodes[-1].backward_fn(g)
+    expected = _attention_with_head_copies(q, k, v, num_heads, mask, g)
+    for got, want in zip((out.data, *grads), expected):
+        assert _same_bits(got, want)
