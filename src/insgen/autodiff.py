@@ -24,6 +24,14 @@ A tape's backward runs once: it takes each node off the tape as it
 reaches it, so the saved arrays free while the backward proceeds, and a
 second backward on that tape raises RuntimeError.
 
+With no tape open an op does no tape work: it runs its forward, the
+finite check (`set_finite_checks`), and returns. It builds no backward
+closure, saves nothing, and skips what only a backward reads (the `exp`
+in `log_softmax` and `logsumexp`, the argmax in `max_over_axis`). Its
+output has the same bits as the same call on a tape, so a decode, which
+opens no tape, pays only for its forward math. Each op keeps one path;
+the untaped return sits in the op, past its forward.
+
 Two precisions are supported: float64 for gradient checking, float32 for
 training speed. No broadcasting beyond what the model needs.
 """
@@ -186,12 +194,31 @@ def _parent(t: Tensor, serial: int):
     return node.index if node is not None and node.tape == serial else t
 
 
-def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
-    if _FINITE_CHECKS and not np.all(np.isfinite(out.data)):
+def _output(data: np.ndarray) -> Tensor:
+    """The output Tensor of an op around the float array its forward just made.
+
+    Runs the finite check (see `set_finite_checks`), then wraps the array
+    without `Tensor.__init__`'s asarray/dtype pass: an op's forward already
+    made a float array of its operands' dtype. Only a 0-d result, which
+    numpy hands back as a scalar, becomes an array here.
+    """
+    if _FINITE_CHECKS and not np.all(np.isfinite(data)):
         raise FloatingPointError("op produced non-finite values")
-    tape = _active_tape()
-    if tape is None:
-        return out
+    out = object.__new__(Tensor)
+    out.data = data if type(data) is np.ndarray else np.asarray(data)
+    out.grad = None
+    out.requires_grad = False
+    out.node = None
+    return out
+
+
+def _record(out: Tensor, inputs: tuple[Tensor, ...], backward_fn) -> Tensor:
+    """Put out's node on the open tape, unless no input needs a gradient.
+
+    An op calls this only with a tape open; with none it has already
+    returned its output.
+    """
+    tape = _TAPE_STACK[-1]
     serial, nodes = tape.serial, tape.nodes
     parents = [_parent(t, serial) for t in inputs]
     if parents.count(None) == len(parents):  # no input needs a gradient
@@ -263,13 +290,16 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product (..., k) @ (k, n), as one GEMM over a's rows."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs (..., k) @ (k, n) operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner dimensions disagree: {a.shape} vs {b.shape}")
-    k, n = b.shape
-    a_data, b_data, a_shape = a.data, b.data, a.shape
-    out = Tensor((a_data.reshape(-1, k) @ b_data).reshape(a_shape[:-1] + (n,)))
+    a_data, b_data = a.data, b.data
+    a_shape = a_data.shape
+    if a_data.ndim < 2 or b_data.ndim != 2:
+        raise ShapeError(f"matmul needs (..., k) @ (k, n) operands, got {a_shape} and {b_data.shape}")
+    if a_shape[-1] != b_data.shape[0]:
+        raise ShapeError(f"matmul inner dimensions disagree: {a_shape} vs {b_data.shape}")
+    k, n = b_data.shape
+    out = _output((a_data.reshape(-1, k) @ b_data).reshape(a_shape[:-1] + (n,)))
+    if not _TAPE_STACK:
+        return out
 
     def bwd(g):
         g2 = g.reshape(-1, n)
@@ -282,8 +312,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     a, b = _as_tensor(a), _as_tensor(b)
-    out = Tensor(a.data + b.data)
-    a_shape, b_shape = a.shape, b.shape
+    out = _output(a.data + b.data)
+    if not _TAPE_STACK:
+        return out
+    a_shape, b_shape = a.data.shape, b.data.shape
 
     def bwd(g):
         return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
@@ -294,13 +326,16 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Fused x @ w + b for x (..., k), w (k, n), b (n,)."""
     x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
-    if x.shape[-1] != w.shape[0]:
-        raise ShapeError(f"affine inner dimensions disagree: {x.shape} vs {w.shape}")
-    k, n = w.shape
-    x_data, w_data, x_shape = x.data, w.data, x.shape
+    x_data, w_data = x.data, w.data
+    x_shape = x_data.shape
+    if x_shape[-1] != w_data.shape[0]:
+        raise ShapeError(f"affine inner dimensions disagree: {x_shape} vs {w_data.shape}")
+    k, n = w_data.shape
     y = x_data.reshape(-1, k) @ w_data
     y += b.data
-    out = Tensor(y.reshape(x_shape[:-1] + (n,)))
+    out = _output(y.reshape(x_shape[:-1] + (n,)))
+    if not _TAPE_STACK:
+        return out
 
     def bwd(g):
         g2 = g.reshape(-1, n)
@@ -314,7 +349,9 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def neg(a: Tensor) -> Tensor:
     a = _as_tensor(a)
-    out = Tensor(-a.data)
+    out = _output(-a.data)
+    if not _TAPE_STACK:
+        return out
     return _record(out, (a,), lambda g: (-g,))
 
 
@@ -329,9 +366,11 @@ def mul(a: Tensor, b) -> Tensor:
     neither saved nor multiplied in backward.
     """
     a = _as_tensor(a)
-    b = b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=a.dtype))
-    out = Tensor(a.data * b.data)
-    a_shape, b_shape = a.shape, b.shape
+    b = b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=a.data.dtype))
+    out = _output(a.data * b.data)
+    if not _TAPE_STACK:
+        return out
+    a_shape, b_shape = a.data.shape, b.data.shape
     a_factor = b.data if a.requires_grad else None  # what a's gradient reads
     b_factor = a.data if b.requires_grad else None
 
@@ -349,7 +388,9 @@ def relu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     y = np.maximum(a.data, 0)
     y += 0  # maximum(-0.0, 0) may be either zero, by platform; -0.0 + 0 is +0.0
-    out = Tensor(y)
+    out = _output(y)
+    if not _TAPE_STACK:
+        return out
     # y > 0 exactly where x > 0; y is what the next op saves anyway, a mask would be one more array
     return _record(out, (a,), lambda g: (g * (y > 0),))
 
@@ -357,7 +398,9 @@ def relu(a: Tensor) -> Tensor:
 def tanh(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     y = np.tanh(a.data)
-    out = Tensor(y)
+    out = _output(y)
+    if not _TAPE_STACK:
+        return out
     return _record(out, (a,), lambda g: (g * (1.0 - y * y),))
 
 
@@ -369,7 +412,9 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     z = a.data - a.data.max(axis=axis, keepdims=True)
     e = np.exp(z)
     y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y)
+    out = _output(y)
+    if not _TAPE_STACK:
+        return out
 
     def bwd(g):
         dot = (g * y).sum(axis=axis, keepdims=True)
@@ -386,7 +431,9 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     z = a.data - m
     lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
     y = z - lse
-    out = Tensor(y)
+    out = _output(y)
+    if not _TAPE_STACK:
+        return out
     p = np.exp(y)
 
     def bwd(g):
@@ -399,9 +446,10 @@ def logsumexp(a: Tensor, axis: int = 0) -> Tensor:
     a = _as_tensor(a)
     m = a.data.max(axis=axis, keepdims=True)
     s = np.exp(a.data - m).sum(axis=axis)
-    y = np.squeeze(m, axis=axis) + np.log(s)
-    out = Tensor(y)
-    p = np.exp(a.data - np.expand_dims(y, axis))
+    out = _output(np.squeeze(m, axis=axis) + np.log(s))
+    if not _TAPE_STACK:
+        return out
+    p = np.exp(a.data - np.expand_dims(out.data, axis))
 
     def bwd(g):
         return (np.expand_dims(g, axis) * p,)
@@ -419,15 +467,18 @@ def _mean_last(a: np.ndarray) -> np.ndarray:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
     x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
-    mu = _mean_last(x.data)
-    xhat = x.data - mu
-    var = np.einsum("...i,...i->...", xhat, xhat)[..., None] / x.shape[-1]
+    x_data = x.data
+    mu = _mean_last(x_data)
+    xhat = x_data - mu
+    var = np.einsum("...i,...i->...", xhat, xhat)[..., None] / x_data.shape[-1]
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
     gain_data = gain.data
     y = xhat * gain_data
     y += bias.data
-    out = Tensor(y)
+    out = _output(y)
+    if not _TAPE_STACK:
+        return out
 
     def bwd(g):
         dxhat = g * gain_data
@@ -438,6 +489,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         return dx, dgain, dbias
 
     return _record(out, (x, gain, bias), bwd)
+
+
+def _key_major(x: np.ndarray) -> np.ndarray:
+    """(..., Tk, n) -> a contiguous (..., n, Tk) copy."""
+    return np.ascontiguousarray(x.swapaxes(-1, -2))
 
 
 def attention(
@@ -460,30 +516,27 @@ def attention(
     in float64 BLAS) and the scores for the exact row max are copied, key-major.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    if q.data.ndim != 3 or q.shape[::2] != k.shape[::2] or k.shape != v.shape:  # (B, h) of q and k agree
-        raise ShapeError(f"attention shapes disagree: q{q.shape} k{k.shape} v{v.shape}")
-    h = q.shape[-1]
+    q_data, k_data, v_data = q.data, k.data, v.data
+    q_shape, k_shape = q_data.shape, k_data.shape
+    if q_data.ndim != 3 or q_shape[::2] != k_shape[::2] or k_shape != v_data.shape:  # (B, h) of q and k agree
+        raise ShapeError(f"attention shapes disagree: q{q_shape} k{k_shape} v{v_data.shape}")
+    B, Tq, h = q_shape
     if h % num_heads != 0:
         raise ShapeError(f"model width {h} not divisible by {num_heads} heads")
     d = h // num_heads
-
-    B, Tq, _ = q.shape
-    Tk = k.shape[1]
-    scale = q.data.dtype.type(1.0 / math.sqrt(d))
+    Tk = k_shape[1]
+    scale = q_data.dtype.type(1.0 / math.sqrt(d))
 
     def heads(x):  # (B, T, h) -> (B, heads, T, d), a strided view
         return x.reshape(B, -1, num_heads, d).transpose(0, 2, 1, 3)
-
-    def key_major(x):  # (..., Tk, n) -> contiguous (..., n, Tk)
-        return np.ascontiguousarray(x.swapaxes(-1, -2))
 
     def product(a, b):  # a @ b per head, written in place into a new C-contiguous (B, T, h)
         x = np.empty((B, a.shape[-2], h), dtype=np.result_type(a, b))
         np.matmul(a, b, out=heads(x))
         return x
 
-    qh, kh, vh = heads(q.data * scale), heads(k.data), heads(v.data)
-    scores = qh @ key_major(kh)
+    qh, kh, vh = heads(q_data * scale), heads(k_data), heads(v_data)
+    scores = qh @ _key_major(kh)
     if mask is not None:
         m = np.asarray(mask, dtype=bool)
         if m.ndim != 3 or any(
@@ -493,15 +546,17 @@ def attention(
         dt = scores.dtype.type
         scores += np.where(m, dt(0), dt(-1e9))[:, None, :, :]
     # each row's max over a key-major copy: a contiguous reduction beats a strided one, and a max is exact in any order
-    scores -= key_major(scores.reshape(-1, Tk)).max(axis=0).reshape(scores.shape[:-1] + (1,))
+    scores -= _key_major(scores.reshape(-1, Tk)).max(axis=0).reshape(scores.shape[:-1] + (1,))
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
     w = scores
-    out = Tensor(product(w, vh))
+    out = _output(product(w, vh))
+    if not _TAPE_STACK:
+        return out
 
     def bwd(g):
         goh = heads(g)
-        gw = goh @ key_major(vh)
+        gw = goh @ _key_major(vh)
         gv = product(w.swapaxes(-1, -2), goh)
         gs = gw
         gs -= np.einsum("bhij,bhij->bhi", gw, w)[..., None]
@@ -518,8 +573,10 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup table[ids]; gradient scatter-adds into the table."""
     table = _as_tensor(table)
     ids = np.asarray(ids)
-    out = Tensor(table.data[ids])
-    shape, dtype = table.shape, table.dtype
+    out = _output(table.data[ids])
+    if not _TAPE_STACK:
+        return out
+    shape, dtype = table.data.shape, table.data.dtype
 
     def bwd(g):
         # segment-sum scatter (sort + reduceat); np.add.at is far slower
@@ -538,15 +595,17 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 def adjacent_pairs(x: Tensor) -> Tensor:
     """Concatenate each adjacent row pair: (..., T, h) -> (..., T-1, 2h)."""
     x = _as_tensor(x)
-    T = x.shape[-2]
+    x_data = x.data
+    shape, dtype = x_data.shape, x_data.dtype
+    T, h = shape[-2], shape[-1]
     if T < 2:
         raise ShapeError("adjacent_pairs needs at least two rows")
-    h = x.shape[-1]
-    buf = np.empty(x.shape[:-2] + (T - 1, 2 * h), dtype=x.dtype)
-    buf[..., :h] = x.data[..., :-1, :]
-    buf[..., h:] = x.data[..., 1:, :]
-    out = Tensor(buf)
-    shape, dtype = x.shape, x.dtype
+    buf = np.empty(shape[:-2] + (T - 1, 2 * h), dtype=dtype)
+    buf[..., :h] = x_data[..., :-1, :]
+    buf[..., h:] = x_data[..., 1:, :]
+    out = _output(buf)
+    if not _TAPE_STACK:
+        return out
 
     def bwd(g):
         gx = np.zeros(shape, dtype=dtype)
@@ -560,9 +619,11 @@ def adjacent_pairs(x: Tensor) -> Tensor:
 def max_over_axis(x: Tensor, axis: int) -> Tensor:
     """Elementwise max reduction; gradient routes to the (first) argmax."""
     x = _as_tensor(x)
-    out = Tensor(x.data.max(axis=axis))
+    out = _output(x.data.max(axis=axis))
+    if not _TAPE_STACK:
+        return out
     idx = x.data.argmax(axis=axis)
-    shape, dtype, out_shape = x.shape, x.dtype, out.shape
+    shape, dtype, out_shape = x.data.shape, x.data.dtype, out.data.shape
 
     def bwd(g):
         gx = np.zeros(shape, dtype=dtype)
@@ -579,8 +640,10 @@ def max_over_axis(x: Tensor, axis: int) -> Tensor:
 def take(x: Tensor, indices: tuple[np.ndarray, ...]) -> Tensor:
     """Advanced-index gather x[indices], shaped like the broadcast indices; gradient scatter-adds."""
     x = _as_tensor(x)
-    out = Tensor(x.data[indices])
-    shape, dtype, size = x.shape, x.dtype, x.size
+    out = _output(x.data[indices])
+    if not _TAPE_STACK:
+        return out
+    shape, dtype, size = x.data.shape, x.data.dtype, x.data.size
 
     def bwd(g):
         flat = np.ravel_multi_index(indices, shape).reshape(-1)
@@ -598,9 +661,12 @@ def gather_rows(x: Tensor, rows: np.ndarray) -> Tensor:
     moves the other way round).
     """
     x = _as_tensor(x)
-    h = x.shape[-1]
-    out = Tensor(x.data.reshape(-1, h)[rows])
-    shape, dtype, size = x.shape, x.dtype, x.size
+    x_data = x.data
+    h = x_data.shape[-1]
+    out = _output(x_data.reshape(-1, h)[rows])
+    if not _TAPE_STACK:
+        return out
+    shape, dtype, size = x_data.shape, x_data.dtype, x_data.size
 
     def bwd(g):
         gx = np.zeros((size // h, h), dtype=dtype)
@@ -614,23 +680,29 @@ def scatter_rows(x: Tensor, rows: np.ndarray, shape: Sequence[int]) -> Tensor:
     """Zeros of `shape` (..., h) with the rows of x (N, h) at the distinct flat row numbers `rows`."""
     x = _as_tensor(x)
     h = shape[-1]
-    buf = np.zeros((math.prod(shape[:-1]), h), dtype=x.dtype)
+    buf = np.zeros((math.prod(shape[:-1]), h), dtype=x.data.dtype)
     buf[rows] = x.data
-    out = Tensor(buf.reshape(shape))
+    out = _output(buf.reshape(shape))
+    if not _TAPE_STACK:
+        return out
     return _record(out, (x,), lambda g: (g.reshape(-1, h)[rows],))
 
 
 def tsum(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    out = Tensor(np.asarray(x.data.sum()))
-    shape, dtype = x.shape, x.dtype
+    out = _output(x.data.sum())
+    if not _TAPE_STACK:
+        return out
+    shape, dtype = x.data.shape, x.data.dtype
     return _record(out, (x,), lambda g: (np.broadcast_to(g, shape).astype(dtype, copy=True),))
 
 
 def tmean(x: Tensor) -> Tensor:
     x = _as_tensor(x)
-    out = Tensor(np.asarray(x.data.mean()))
-    n, shape, dtype = x.size, x.shape, x.dtype
+    out = _output(x.data.mean())
+    if not _TAPE_STACK:
+        return out
+    n, shape, dtype = x.data.size, x.data.shape, x.data.dtype
 
     def bwd(g):
         return (np.broadcast_to(g / n, shape).astype(dtype, copy=True),)
@@ -640,14 +712,18 @@ def tmean(x: Tensor) -> Tensor:
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
     x = _as_tensor(x)
-    out = Tensor(x.data.reshape(shape))
-    x_shape = x.shape
+    out = _output(x.data.reshape(shape))
+    if not _TAPE_STACK:
+        return out
+    x_shape = x.data.shape
     return _record(out, (x,), lambda g: (g.reshape(x_shape),))
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     ts = [_as_tensor(t) for t in tensors]
-    out = Tensor(np.stack([t.data for t in ts], axis=axis))
+    out = _output(np.stack([t.data for t in ts], axis=axis))
+    if not _TAPE_STACK:
+        return out
     n = len(ts)
 
     def bwd(g):

@@ -28,17 +28,25 @@ def apply_parallel_insertions(canvas: TokenSeq, actions: list[Action]) -> TokenS
     """Apply simultaneous insertions, at most one per slot.
 
     Locations refer to the pre-insertion canvas; the result equals applying
-    the actions serially in descending location order.
+    the actions serially in descending location order. It is built in one
+    pass: each stretch of the canvas between two insertion slots, then the
+    token inserted at the next slot.
     """
+    actions = sorted(actions, key=lambda a: a[1])
     locations = [location for _, location in actions]
     if len(set(locations)) != len(locations):
-        raise ValueError(f"duplicate insertion locations: {sorted(locations)}")
-    for location in locations:
+        raise ValueError(f"duplicate insertion locations: {locations}")
+    for location in locations[:1] + locations[-1:]:  # sorted, so only the ends can be out of range
         if not 0 <= location <= len(canvas):
             raise ValueError(f"insertion location {location} outside [0, {len(canvas)}]")
-    for action in sorted(actions, key=lambda a: a[1], reverse=True):
-        canvas = apply_insertion(canvas, action)
-    return canvas
+    out: list[int] = []
+    start = 0
+    for content, location in actions:
+        out += canvas[start:location]
+        out.append(content)
+        start = location
+    out += canvas[start:]
+    return tuple(out)
 
 
 def sample_subsequence(y: TokenSeq, rng: np.random.Generator) -> tuple[int, ...]:

@@ -3,10 +3,12 @@
 Layout (all integers little-endian u32):
 
     b"INSR" | version | header_len | header JSON | manifest_len |
-    manifest JSON | raw float32 blob
+    manifest JSON | raw little-endian blob
 
-The manifest lists (name, shape, offset) per array; array data is raw
-32-bit little-endian floats at the given blob offsets. `write` and `read`
+The manifest lists (name, shape, offset) per array, plus its dtype when
+that is not float32; array data is raw little-endian floats of that dtype
+(float32 or float64) at the given blob offsets. Each array keeps the dtype
+it was written in, so a float64 model loads unrounded. `write` and `read`
 are the only code that knows this layout, and `read_arrays` the only check
 of a manifest against the arrays a caller expects.
 
@@ -32,6 +34,7 @@ from .model import InsertionModel, ModelConfig
 
 MAGIC = b"INSR"
 VERSION = 1
+DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}  # manifest name -> stored dtype
 
 
 class CheckpointError(ValueError):
@@ -64,20 +67,26 @@ def load(path: str) -> tuple[InsertionModel, dict[str, Any]]:
 def write(path: str, header: dict[str, Any], arrays: dict[str, np.ndarray]) -> None:
     """Write an INSR file of header and named arrays: temp file, then rename over path.
 
-    Each array goes as its little-endian float32 bytes, written from the
-    array itself (a float32 array is not copied; any other is converted).
+    Each array goes as the little-endian bytes of its own dtype, float32 or
+    float64, written from the array itself (a contiguous little-endian array
+    is not copied). Another dtype raises ValueError.
     """
     manifest, offset = [], 0
     for name, arr in arrays.items():
-        manifest.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += 4 * arr.size
+        if arr.dtype.name not in DTYPES:
+            raise ValueError(f"{name}: cannot store a {arr.dtype} array, only {sorted(DTYPES)}")
+        entry = {"name": name, "shape": list(arr.shape), "offset": offset}
+        if arr.dtype.name != "float32":
+            entry["dtype"] = arr.dtype.name
+        manifest.append(entry)
+        offset += arr.nbytes
     header_b, manifest_b = _dump_json(header), _dump_json(manifest)
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
         f.write(MAGIC + struct.pack("<II", VERSION, len(header_b)) + header_b)
         f.write(struct.pack("<I", len(manifest_b)) + manifest_b)
         for arr in arrays.values():
-            f.write(np.ascontiguousarray(arr, dtype="<f4"))
+            f.write(np.ascontiguousarray(arr, dtype=DTYPES[arr.dtype.name]))
     os.replace(tmp, path)
 
 
@@ -115,13 +124,16 @@ def read(path: str) -> tuple[Any, Any, memoryview]:
 
 
 def read_arrays(path: str, manifest, blob: memoryview, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
-    """The float32 arrays a (name, shape, offset) manifest places in blob.
+    """The arrays a (name, shape, offset[, dtype]) manifest places in blob, each in its stored dtype.
 
     The manifest must name exactly the arrays of `shapes`, with those
-    shapes, each inside the blob; anything else raises CheckpointError.
+    shapes and a dtype of DTYPES (float32 when absent), each inside the
+    blob; anything else raises CheckpointError.
     """
     try:
-        entries = {e["name"]: (tuple(e["shape"]), int(e["offset"])) for e in manifest}
+        entries = {
+            e["name"]: (tuple(e["shape"]), int(e["offset"]), DTYPES[e.get("dtype", "float32")]) for e in manifest
+        }
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: malformed manifest: {type(e).__name__}: {e}") from None
     if set(entries) != set(shapes):
@@ -129,11 +141,11 @@ def read_arrays(path: str, manifest, blob: memoryview, shapes: dict[str, tuple])
         extra_names = sorted(set(entries) - set(shapes))
         raise CheckpointError(f"{path}: manifest mismatch (missing {missing}, unexpected {extra_names})")
     arrays = {}
-    for name, (shape, start) in entries.items():
+    for name, (shape, start, dtype) in entries.items():
         if shape != shapes[name]:
             raise CheckpointError(f"{path}: {name} has shape {shape}, expected {shapes[name]}")
         n = int(np.prod(shape))
-        if start < 0 or start + 4 * n > len(blob):
+        if start < 0 or start + dtype.itemsize * n > len(blob):
             raise CheckpointError(f"{path}: truncated: {name} ends past the {len(blob)}-byte blob")
-        arrays[name] = np.frombuffer(blob, dtype="<f4", count=n, offset=start).reshape(shape)
+        arrays[name] = np.frombuffer(blob, dtype=dtype, count=n, offset=start).reshape(shape)
     return arrays

@@ -51,6 +51,10 @@ from .vocab import LEFT_MARK, PAD, RIGHT_MARK, TERMINAL_IDS, UNK
 
 NEVER_INSERTED = (PAD, LEFT_MARK, RIGHT_MARK, UNK)  # reserved ids that are not terminal tokens
 
+# the two id sets as index arrays, built once for every decode iteration's scores
+_TERMINAL_INDEX = np.array(TERMINAL_IDS)
+_NEVER_INSERTED_INDEX = np.array(NEVER_INSERTED)
+
 MODES = ("greedy", "parallel")
 
 
@@ -102,14 +106,14 @@ def apply_eos_penalty(logp: np.ndarray, beta: float) -> np.ndarray:
     if beta < 0:
         raise ValueError("eos penalty must be nonnegative")
     scores = logp.copy()
-    scores[..., list(TERMINAL_IDS)] -= beta
+    scores[..., _TERMINAL_INDEX] -= beta
     return scores
 
 
 def _decision_scores(logp: np.ndarray, beta: float) -> np.ndarray:
     """The scores both steps take their argmax of: penalized, and -inf on NEVER_INSERTED."""
     scores = apply_eos_penalty(logp, beta)
-    scores[..., list(NEVER_INSERTED)] = -np.inf
+    scores[..., _NEVER_INSERTED_INDEX] = -np.inf
     return scores
 
 
@@ -132,12 +136,12 @@ def greedy_step(logp: np.ndarray, termination: str, beta: float = 0.0):
         return [(c, l, float(logp[l, c]))], None
     # slot finalization
     best_tok = scores.argmax(axis=-1)
-    active = ~np.isin(best_tok, TERMINAL_IDS)
+    active = ~np.isin(best_tok, _TERMINAL_INDEX)
     if not active.any():
         c = int(best_tok[0])
         return [], (c, 0, float(logp[0, c]))
     masked = np.where(active[:, None], scores, -np.inf)
-    masked[:, list(TERMINAL_IDS)] = -np.inf
+    masked[:, _TERMINAL_INDEX] = -np.inf
     flat = int(masked.argmax())
     l, c = divmod(flat, V)
     return [(c, l, float(logp[l, c]))], None
@@ -150,8 +154,9 @@ def parallel_step(conditionals: np.ndarray, beta: float = 0.0) -> list[ActionRec
     every slot predicted a terminal token.
     """
     best = _decision_scores(conditionals, beta).argmax(axis=-1)
+    best_logp = conditionals[np.arange(len(best)), best]
     return [
-        (int(c), l, float(conditionals[l, c])) for l, c in enumerate(best) if int(c) not in TERMINAL_IDS
+        (c, l, lp) for l, (c, lp) in enumerate(zip(best.tolist(), best_logp.tolist())) if c not in TERMINAL_IDS
     ]
 
 

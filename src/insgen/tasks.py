@@ -270,7 +270,9 @@ class EvalReport:
 
 
 def evaluate(policy, dataset: Dataset, config: DecodeConfig) -> EvalReport:
-    """Decode every pair and aggregate metrics plus the iteration table."""
+    """Decode every pair and aggregate metrics plus the iteration table; an empty dataset raises ValueError."""
+    if not dataset:
+        raise ValueError("empty dataset")
     hyps: list[TokenSeq] = []
     exact = 0
     dists = []

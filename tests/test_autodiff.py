@@ -288,19 +288,88 @@ def test_second_backward_on_a_tape_raises():
     np.testing.assert_array_equal(x.grad, 2 * np.ones(3))  # the failed call added nothing
 
 
+# every name in autodiff.__all__ that is an op
+OPS = sorted(set(ad.__all__) - {"Tensor", "Tape", "backward", "tensor", "set_finite_checks"})
+
+
+def _op_cases(dtype) -> dict:
+    """One call of every op: name -> (input arrays, call), where call(*input tensors) runs the op."""
+    rng = np.random.default_rng(7)
+
+    def r(*shape):
+        return rng.normal(size=shape).astype(dtype)
+
+    visible = np.array([[[True, True, False, True, True]], [[True, False, True, True, False]]])
+    return {
+        "matmul": ([r(2, 3, 4), r(4, 5)], ad.matmul),
+        "add": ([r(2, 3), r(3)], ad.add),
+        "affine": ([r(2, 3, 4), r(4, 5), r(5)], ad.affine),
+        "sub": ([r(2, 3), r(2, 3)], ad.sub),
+        "neg": ([r(2, 3)], ad.neg),
+        "mul": ([r(2, 3), r(3)], ad.mul),
+        "relu": ([r(2, 3)], ad.relu),
+        "tanh": ([r(2, 3)], ad.tanh),
+        "softmax": ([r(2, 5)], ad.softmax),
+        "log_softmax": ([r(2, 5)], ad.log_softmax),
+        "logsumexp": ([r(4)], ad.logsumexp),  # a 0-d result
+        "layer_norm": ([r(2, 3, 6), r(6), r(6)], ad.layer_norm),
+        "attention": ([r(2, 3, 4), r(2, 5, 4), r(2, 5, 4)],
+                      lambda q, k, v: ad.attention(q, k, v, num_heads=2, mask=visible)),
+        "embedding": ([r(7, 4)], lambda table: ad.embedding(table, np.array([[0, 3, 3], [6, 1, 0]]))),
+        "adjacent_pairs": ([r(2, 4, 3)], ad.adjacent_pairs),
+        "max_over_axis": ([r(2, 4, 3)], lambda x: ad.max_over_axis(x, axis=-2)),
+        "take": ([r(2, 4, 3)], lambda x: ad.take(x, (np.array([0, 1, 1]), np.array([3, 0, 3]), np.array([2, 2, 0])))),
+        "gather_rows": ([r(2, 4, 3)], lambda x: ad.gather_rows(x, np.array([6, 0, 3]))),
+        "scatter_rows": ([r(3, 4)], lambda x: ad.scatter_rows(x, np.array([5, 0, 2]), (2, 3, 4))),
+        "tsum": ([r(2, 3)], ad.tsum),
+        "tmean": ([r(2, 3)], ad.tmean),
+        "reshape": ([r(2, 3)], lambda x: ad.reshape(x, (3, 2))),
+        "stack": ([r(2, 3), r(2, 3)], lambda a, b: ad.stack([a, b], axis=1)),
+    }
+
+
 def test_an_op_records_nothing_without_a_tape_or_an_input_needing_a_gradient():
-    rng = np.random.default_rng(3)
-    x = ad.tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
-    c = ad.tensor(rng.normal(size=(1, 3, 4)))
-    w, b = ad.tensor(rng.normal(size=(4, 4))), ad.tensor(np.zeros(4))
-    for out in (ad.add(x, x), ad.attention(x, x, x, num_heads=2), ad.affine(x, w, b)):  # no tape open
-        assert not out.requires_grad and out.node is None
+    cases = _op_cases(np.float64)
+    assert sorted(cases) == OPS
+    for name, (arrays, call) in cases.items():  # no tape open
+        out = call(*[ad.tensor(a, requires_grad=True) for a in arrays])
+        assert not out.requires_grad and out.node is None, name
+    x = ad.tensor(np.ones(3), requires_grad=True)
     with ad.Tape() as tape:
-        ad.add(x, c)
+        ad.add(x, ad.tensor(np.ones(3)))
         count = len(tape.nodes)
-        for out in (ad.add(c, c), ad.attention(c, c, c, num_heads=2), ad.affine(c, w, b)):
-            assert not out.requires_grad and out.node is None
+        for name, (arrays, call) in cases.items():
+            out = call(*[ad.tensor(a) for a in arrays])
+            assert not out.requires_grad and out.node is None, name
     assert len(tape.nodes) == count == 1
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", OPS)
+def test_an_untaped_op_computes_the_bits_of_its_taped_run(name, dtype):
+    arrays, call = _op_cases(dtype)[name]
+    untaped = call(*[ad.tensor(a, requires_grad=True) for a in arrays])
+    with ad.Tape() as tape:
+        taped = call(*[ad.tensor(a, requires_grad=True) for a in arrays])
+    assert tape.nodes and taped.requires_grad
+    assert type(untaped.data) is np.ndarray and untaped.data.dtype == taped.data.dtype == dtype
+    assert untaped.data.shape == taped.data.shape
+    assert untaped.data.tobytes() == taped.data.tobytes()
+
+
+@pytest.mark.parametrize("name", OPS)
+def test_an_untaped_op_that_makes_nan_raises(name):
+    # conftest turns the finite checks on; an op with no tape open still runs them
+    arrays, call = _op_cases(np.float64)[name]
+    arrays[0] = np.full_like(arrays[0], np.nan)
+    with pytest.raises(FloatingPointError):
+        call(*[ad.tensor(a) for a in arrays])
+
+
+def test_an_untaped_op_that_overflows_to_inf_raises():
+    x = ad.tensor(np.full(3, 3e38, dtype=np.float32))
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
+        ad.add(x, x)
 
 
 def test_backward_rejects_nonscalar_loss():

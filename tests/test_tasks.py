@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from insgen import tasks
+from insgen.decoding import DecodeConfig
 from insgen.tasks import (
     KINDS,
     CorpusFormatError,
@@ -23,6 +24,7 @@ from insgen.tasks import (
     save_corpus,
 )
 from insgen.vocab import NUM_RESERVED, UNK, Vocab, build_vocab, content_vocab
+from oracles import BalancedTreePolicy
 
 
 def test_vocab_reserved_ids_lowest():
@@ -336,3 +338,10 @@ def test_corpus_bleu_permutation_invariant_and_matches_oracle(seed):
     perm = rng.permutation(len(hyps))
     shuffled = corpus_bleu([hyps[i] for i in perm], [refs[i] for i in perm])
     assert abs(base - shuffled) < 1e-9
+
+
+def test_evaluate_rejects_an_empty_dataset():
+    # the mean metrics have no items to average over; the report would divide by zero
+    policy = BalancedTreePolicy((NUM_RESERVED,), vocab_size=NUM_RESERVED + 1)
+    with pytest.raises(ValueError, match="empty dataset"):
+        tasks.evaluate(policy, [], DecodeConfig(mode="parallel"))

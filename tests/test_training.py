@@ -275,7 +275,7 @@ def test_train_zero_steps_checkpoint_equals_init(tmp_path):
     train(model, tiny_dataset(), LossConfig(), TrainConfig(steps=0, seed=1), run_dir=run_dir)
     loaded, _ = checkpoint.load(os.path.join(run_dir, "ckpt-0.insr"))
     for k, v in init.items():
-        np.testing.assert_array_equal(loaded.params[k].data, v.astype(np.float32).astype(np.float64))
+        np.testing.assert_array_equal(loaded.params[k].data, v)
 
 
 def test_train_loss_decreases_on_copy():
@@ -299,25 +299,34 @@ def test_train_rerun_is_bit_identical():
     assert run() == run()
 
 
-def test_resume_reproduces_uninterrupted_run(tmp_path):
+def _assert_resume_reproduces_uninterrupted_run(tmp_path, dtype):
+    """Checkpoint and sidecar keep every bit, so the resumed losses and parameters are the same numbers."""
     dataset = tiny_dataset(30)
     loss_config = LossConfig(order="uniform")
     config = TrainConfig(steps=16, batch_size=8, seed=2, checkpoint_interval=8)
 
-    model_a = tiny_model(dtype="float32")
+    model_a = tiny_model(dtype=dtype)
     run_a = str(tmp_path / "a")
     _, hist_a = train(model_a, dataset, loss_config, config, run_dir=run_a)
 
-    model_b = tiny_model(dtype="float32")
+    model_b = tiny_model(dtype=dtype)
     run_b = str(tmp_path / "b")
     half = TrainConfig(steps=8, batch_size=8, seed=2, checkpoint_interval=8)
     train(model_b, dataset, loss_config, half, run_dir=run_b)
     resumed, _ = checkpoint.load(os.path.join(run_b, "ckpt-8.insr"))
     opt = load_optimizer_state(os.path.join(run_b, "ckpt-8.insr.opt"), resumed)
     _, hist_resumed = train(resumed, dataset, loss_config, config, opt_state=opt)
-    np.testing.assert_allclose(
-        [l for _, l in hist_a[8:]], [l for _, l in hist_resumed], rtol=1e-6
-    )
+    assert hist_resumed == hist_a[8:]
+    for name, p in model_a.params.items():
+        assert resumed.params[name].data.tobytes() == p.data.tobytes(), name
+
+
+def test_resume_reproduces_uninterrupted_run(tmp_path):
+    _assert_resume_reproduces_uninterrupted_run(tmp_path, "float32")
+
+
+def test_resume_reproduces_uninterrupted_float64_run(tmp_path):
+    _assert_resume_reproduces_uninterrupted_run(tmp_path, "float64")
 
 
 def test_optimizer_state_round_trip(tmp_path):
