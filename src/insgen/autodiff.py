@@ -32,6 +32,11 @@ output has the same bits as the same call on a tape, so a decode, which
 opens no tape, pays only for its forward math. Each op keeps one path;
 the untaped return sits in the op, past its forward.
 
+Ops take Tensors and read their `.data`; nothing coerces an operand. A
+constant enters an op in one of two ways: as `mul`'s second operand, which
+becomes an array of its partner's dtype, or wrapped by the caller as an
+explicit `Tensor`, whose dtype the caller then chooses.
+
 Two precisions are supported: float64 for gradient checking, float32 for
 training speed. No broadcasting beyond what the model needs.
 """
@@ -48,7 +53,6 @@ __all__ = [
     "Tensor",
     "Tape",
     "backward",
-    "tensor",
     "set_finite_checks",
     "matmul",
     "add",
@@ -121,10 +125,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 
 
-def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad, dtype=dtype)
-
-
 _FINITE_CHECKS = False
 
 
@@ -175,15 +175,8 @@ class Tape:
         popped = _TAPE_STACK.pop()
         assert popped is self
 
-    def backward(self, loss: Tensor) -> None:
-        backward(self, loss)
-
 
 _TAPE_STACK: list[Tape] = []
-
-
-def _active_tape() -> Tape | None:
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
 
 
 def _parent(t: Tensor, serial: int):
@@ -268,10 +261,6 @@ def backward(tape: Tape, loss: Tensor) -> None:
         t.accumulate_grad(g)
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
-
-
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum g down to `shape` (inverse of numpy broadcasting)."""
     while g.ndim > len(shape):
@@ -289,7 +278,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product (..., k) @ (k, n), as one GEMM over a's rows."""
-    a, b = _as_tensor(a), _as_tensor(b)
     a_data, b_data = a.data, b.data
     a_shape = a_data.shape
     if a_data.ndim < 2 or b_data.ndim != 2:
@@ -311,7 +299,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
     out = _output(a.data + b.data)
     if not _TAPE_STACK:
         return out
@@ -325,7 +312,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Fused x @ w + b for x (..., k), w (k, n), b (n,)."""
-    x, w, b = _as_tensor(x), _as_tensor(w), _as_tensor(b)
     x_data, w_data = x.data, w.data
     x_shape = x_data.shape
     if x_shape[-1] != w_data.shape[0]:
@@ -348,7 +334,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def neg(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     out = _output(-a.data)
     if not _TAPE_STACK:
         return out
@@ -356,7 +341,7 @@ def neg(a: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    return add(a, neg(_as_tensor(b)))
+    return add(a, neg(b))
 
 
 def mul(a: Tensor, b) -> Tensor:
@@ -365,7 +350,6 @@ def mul(a: Tensor, b) -> Tensor:
     An operand that needs no gradient gets none: its partner's array is
     neither saved nor multiplied in backward.
     """
-    a = _as_tensor(a)
     b = b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=a.data.dtype))
     out = _output(a.data * b.data)
     if not _TAPE_STACK:
@@ -385,7 +369,6 @@ def mul(a: Tensor, b) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     """max(x, 0) elementwise, with +0.0 for every x <= 0; NaN propagates (it is not zeroed)."""
-    a = _as_tensor(a)
     y = np.maximum(a.data, 0)
     y += 0  # maximum(-0.0, 0) may be either zero, by platform; -0.0 + 0 is +0.0
     out = _output(y)
@@ -396,7 +379,6 @@ def relu(a: Tensor) -> Tensor:
 
 
 def tanh(a: Tensor) -> Tensor:
-    a = _as_tensor(a)
     y = np.tanh(a.data)
     out = _output(y)
     if not _TAPE_STACK:
@@ -406,7 +388,6 @@ def tanh(a: Tensor) -> Tensor:
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Stable softmax along `axis`: nonnegative, sums to one."""
-    a = _as_tensor(a)
     if a.data.shape[axis] == 0:
         raise ShapeError("softmax over an empty axis")
     z = a.data - a.data.max(axis=axis, keepdims=True)
@@ -424,7 +405,6 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
-    a = _as_tensor(a)
     if a.data.shape[axis] == 0:
         raise ShapeError("log_softmax over an empty axis")
     m = a.data.max(axis=axis, keepdims=True)
@@ -443,7 +423,6 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
 
 
 def logsumexp(a: Tensor, axis: int = 0) -> Tensor:
-    a = _as_tensor(a)
     m = a.data.max(axis=axis, keepdims=True)
     s = np.exp(a.data - m).sum(axis=axis)
     out = _output(np.squeeze(m, axis=axis) + np.log(s))
@@ -466,7 +445,6 @@ def _mean_last(a: np.ndarray) -> np.ndarray:
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
-    x, gain, bias = _as_tensor(x), _as_tensor(gain), _as_tensor(bias)
     x_data = x.data
     mu = _mean_last(x_data)
     xhat = x_data - mu
@@ -515,7 +493,6 @@ def attention(
     Only k and v on a product's right (a transposed view rounds otherwise
     in float64 BLAS) and the scores for the exact row max are copied, key-major.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     q_data, k_data, v_data = q.data, k.data, v.data
     q_shape, k_shape = q_data.shape, k_data.shape
     if q_data.ndim != 3 or q_shape[::2] != k_shape[::2] or k_shape != v_data.shape:  # (B, h) of q and k agree
@@ -571,7 +548,6 @@ def attention(
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup table[ids]; gradient scatter-adds into the table."""
-    table = _as_tensor(table)
     ids = np.asarray(ids)
     out = _output(table.data[ids])
     if not _TAPE_STACK:
@@ -594,7 +570,6 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
 def adjacent_pairs(x: Tensor) -> Tensor:
     """Concatenate each adjacent row pair: (..., T, h) -> (..., T-1, 2h)."""
-    x = _as_tensor(x)
     x_data = x.data
     shape, dtype = x_data.shape, x_data.dtype
     T, h = shape[-2], shape[-1]
@@ -618,7 +593,6 @@ def adjacent_pairs(x: Tensor) -> Tensor:
 
 def max_over_axis(x: Tensor, axis: int) -> Tensor:
     """Elementwise max reduction; gradient routes to the (first) argmax."""
-    x = _as_tensor(x)
     out = _output(x.data.max(axis=axis))
     if not _TAPE_STACK:
         return out
@@ -639,7 +613,6 @@ def max_over_axis(x: Tensor, axis: int) -> Tensor:
 
 def take(x: Tensor, indices: tuple[np.ndarray, ...]) -> Tensor:
     """Advanced-index gather x[indices], shaped like the broadcast indices; gradient scatter-adds."""
-    x = _as_tensor(x)
     out = _output(x.data[indices])
     if not _TAPE_STACK:
         return out
@@ -660,7 +633,6 @@ def gather_rows(x: Tensor, rows: np.ndarray) -> Tensor:
     the exact inverse of the gather (`scatter_rows` is the same pair of
     moves the other way round).
     """
-    x = _as_tensor(x)
     x_data = x.data
     h = x_data.shape[-1]
     out = _output(x_data.reshape(-1, h)[rows])
@@ -678,7 +650,6 @@ def gather_rows(x: Tensor, rows: np.ndarray) -> Tensor:
 
 def scatter_rows(x: Tensor, rows: np.ndarray, shape: Sequence[int]) -> Tensor:
     """Zeros of `shape` (..., h) with the rows of x (N, h) at the distinct flat row numbers `rows`."""
-    x = _as_tensor(x)
     h = shape[-1]
     buf = np.zeros((math.prod(shape[:-1]), h), dtype=x.data.dtype)
     buf[rows] = x.data
@@ -689,7 +660,6 @@ def scatter_rows(x: Tensor, rows: np.ndarray, shape: Sequence[int]) -> Tensor:
 
 
 def tsum(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
     out = _output(x.data.sum())
     if not _TAPE_STACK:
         return out
@@ -698,7 +668,6 @@ def tsum(x: Tensor) -> Tensor:
 
 
 def tmean(x: Tensor) -> Tensor:
-    x = _as_tensor(x)
     out = _output(x.data.mean())
     if not _TAPE_STACK:
         return out
@@ -711,7 +680,6 @@ def tmean(x: Tensor) -> Tensor:
 
 
 def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
-    x = _as_tensor(x)
     out = _output(x.data.reshape(shape))
     if not _TAPE_STACK:
         return out
@@ -720,14 +688,13 @@ def reshape(x: Tensor, shape: Sequence[int]) -> Tensor:
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    ts = [_as_tensor(t) for t in tensors]
-    out = _output(np.stack([t.data for t in ts], axis=axis))
+    out = _output(np.stack([t.data for t in tensors], axis=axis))
     if not _TAPE_STACK:
         return out
-    n = len(ts)
+    n = len(tensors)
 
     def bwd(g):
         pieces = np.moveaxis(g, axis, 0)
         return tuple(pieces[i] for i in range(n))
 
-    return _record(out, tuple(ts), bwd)
+    return _record(out, tuple(tensors), bwd)

@@ -108,8 +108,11 @@ def _read_sources(args, vocab: Vocab, model: InsertionModel) -> list[TokenSeq]:
     if args.tokens is not None:
         lines = [args.tokens]
     else:
-        with open(args.input, "r", encoding="utf-8") as f:
-            lines = [line for line in f.read().splitlines() if line.strip()]
+        try:
+            with open(args.input, "r", encoding="utf-8") as f:
+                lines = [line for line in f.read().splitlines() if line.strip()]
+        except UnicodeDecodeError as e:
+            raise CorpusFormatError(f"{args.input}: not UTF-8 text ({e})") from None
     sources = []
     for num, line in enumerate(lines, start=1):
         try:

@@ -157,6 +157,8 @@ def load_config(path: str | None, overrides: list[str] = ()) -> RunConfig:
                 data = json.load(f)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{path}: not UTF-8 text ({e})") from None
         except json.JSONDecodeError as e:
             raise ConfigError(f"{path}: not valid JSON ({e})") from None
         if not isinstance(data, dict):

@@ -38,6 +38,7 @@ count) excludes it.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -200,6 +201,9 @@ def iteration_lower_bound(n: int) -> int:
 
 def beta_sweep_values(start: float = 0.0, stop: float = 7.0, step: float = 0.5) -> list[float]:
     """Inclusive penalty grid, by default [0, 7] in steps of 0.5."""
+    for name, value in (("start", start), ("stop", stop), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"sweep {name} must be finite, got {value}")
     if step <= 0:
         raise ValueError("sweep step must be positive")
     if stop < start:

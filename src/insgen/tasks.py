@@ -155,8 +155,11 @@ def load_corpus(path: str, vocab: Vocab) -> Dataset:
 
     Tokens the vocab does not hold map to the reserved unknown id.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = f.read().splitlines()
+    except UnicodeDecodeError as e:
+        raise CorpusFormatError(f"{path}: not UTF-8 text ({e})") from None
     if not lines:
         raise CorpusFormatError(f"{path}: empty corpus")
     dataset = []

@@ -204,7 +204,7 @@ def train_step(
         # activations are freed before the next micro-batch runs
         with Tape() as tape:
             part = ad.mul(batch_loss(model, group), len(group) / len(batch))
-        tape.backward(part)
+        ad.backward(tape, part)
         loss += part.item()
     grads = {name: p.grad for name, p in model.params.items() if p.grad is not None}
     for name, p in model.params.items():

@@ -12,7 +12,6 @@ import hashlib
 import json
 import os
 
-import numpy as np
 import pytest
 
 from insgen import checkpoint
@@ -53,39 +52,6 @@ def test_trained_model_parallel_iterations_sit_at_the_log_bound(trained):
         assert bound <= iterations <= bound + 1, (length, iterations)
     at_bound = sum(iterations == iteration_lower_bound(length) for length, iterations in counts)
     assert at_bound >= 0.8 * len(counts), f"{at_bound} of {len(counts)} at floor(log2 n) + 1"
-
-
-class TrainingPathPolicy:
-    """The model's decode surface rebuilt on the batched calls training makes.
-
-    Its handle is what `encode_batch` returns for a batch of one source, and
-    every iteration passes it to `slot_matrix_batch` and the head, as a
-    training forward does.
-    """
-
-    def __init__(self, model):
-        self.model = model
-
-    def encode(self, x):
-        return self.model.encode_batch(np.asarray([x], dtype=np.int64), np.array([len(x)]))
-
-    def log_probs(self, memory, canvas):
-        ids = np.asarray([canvas], dtype=np.int64).reshape(1, len(canvas))
-        H, slot_mask = self.model.slot_matrix_batch(*memory, ids, np.array([len(canvas)]))
-        return self.model.joint_log_probs_batch(H, slot_mask).data[0]
-
-
-@pytest.mark.parametrize("mode", ["greedy", "parallel"])
-def test_decoding_with_the_cross_kv_handle_matches_the_training_path(trained, mode):
-    # outputs, every trace step with its logprobs, and the truncated flag are identical
-    model, extra, beta = trained
-    config = DecodeConfig(mode=mode, eos_penalty=beta, termination=extra["loss"]["termination"])
-    reference = TrainingPathPolicy(model)
-    for n in range(1, 33):  # the sentences of the iteration gate above
-        spec = TaskSpec(**{**extra["task"], "min_length": n, "max_length": n, "seed": SEED * 1000 + n,
-                           "num_train": 0, "num_dev": 2})
-        for x, _ in generate_datasets(spec)[1]:
-            assert decode(model, x, config) == decode(reference, x, config), x
 
 
 def _decode_record(x, out, trace) -> dict:

@@ -22,7 +22,7 @@ def _gradcheck(build_loss, params, tol=1e-6, eps=1e-6):
     """Compare tape gradients of build_loss() against the finite-difference oracle."""
     with ad.Tape() as tape:
         loss = build_loss()
-    tape.backward(loss)
+    ad.backward(tape, loss)
     for p in params:
         numeric = central_difference_grad(lambda: _loss_value(build_loss), p.data, eps=eps)
         assert p.grad is not None
@@ -34,42 +34,42 @@ def _loss_value(build_loss) -> float:
 
 
 def test_matmul_identity():
-    a = ad.tensor(np.arange(9.0).reshape(3, 3))
-    out = ad.matmul(ad.tensor(np.eye(3)), a)
+    a = ad.Tensor(np.arange(9.0).reshape(3, 3))
+    out = ad.matmul(ad.Tensor(np.eye(3)), a)
     np.testing.assert_array_equal(out.data, a.data)
 
 
 def test_matmul_hand_value():
-    out = ad.matmul(ad.tensor([[1.0, 2.0], [3.0, 4.0]]), ad.tensor([[1.0], [1.0]]))
+    out = ad.matmul(ad.Tensor([[1.0, 2.0], [3.0, 4.0]]), ad.Tensor([[1.0], [1.0]]))
     np.testing.assert_array_equal(out.data, [[3.0], [7.0]])
 
 
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ad.ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-        ad.matmul(ad.tensor(np.zeros((2, 3))), ad.tensor(np.zeros((2, 2))))
+        ad.matmul(ad.Tensor(np.zeros((2, 3))), ad.Tensor(np.zeros((2, 2))))
 
 
 def test_matmul_gradcheck():
     rng = np.random.default_rng(0)
-    a = ad.tensor(rng.normal(size=(4, 5)), requires_grad=True)
-    b = ad.tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    a = ad.Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=(5, 3)), requires_grad=True)
     _gradcheck(lambda: ad.tsum(ad.mul(ad.matmul(a, b), ad.matmul(a, b))), [a, b])
 
 
 def test_softmax_symmetry():
-    out = ad.softmax(ad.tensor([0.0, 0.0, 0.0]))
+    out = ad.softmax(ad.Tensor([0.0, 0.0, 0.0]))
     np.testing.assert_allclose(out.data, [1 / 3] * 3, atol=1e-15)
 
 
 def test_softmax_hand_value():
-    out = ad.softmax(ad.tensor([-1.0, 0.0, -1.0]))
+    out = ad.softmax(ad.Tensor([-1.0, 0.0, -1.0]))
     np.testing.assert_allclose(out.data, [0.21194, 0.57612, 0.21194], atol=1e-5)
 
 
 @given(st.lists(st.floats(-50, 50), min_size=1, max_size=8), st.floats(-100, 100))
 def test_softmax_shift_invariance_and_normalization(xs, c):
-    base = ad.softmax(ad.tensor(np.array(xs))).data
-    shifted = ad.softmax(ad.tensor(np.array(xs) + c)).data
+    base = ad.softmax(ad.Tensor(np.array(xs))).data
+    shifted = ad.softmax(ad.Tensor(np.array(xs) + c)).data
     np.testing.assert_allclose(base, shifted, atol=1e-12)
     assert np.all(base >= 0)
     assert abs(base.sum() - 1.0) < 1e-12
@@ -77,12 +77,12 @@ def test_softmax_shift_invariance_and_normalization(xs, c):
 
 def test_softmax_empty_axis_errors():
     with pytest.raises(ad.ShapeError):
-        ad.softmax(ad.tensor(np.zeros((0,))))
+        ad.softmax(ad.Tensor(np.zeros((0,))))
 
 
 def test_softmax_gradcheck():
     rng = np.random.default_rng(1)
-    x = ad.tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    x = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     w = rng.normal(size=(3, 4))
     _gradcheck(lambda: ad.tsum(ad.mul(ad.softmax(x, axis=-1), w)), [x])
 
@@ -91,39 +91,39 @@ def test_log_softmax_matches_log_of_softmax():
     rng = np.random.default_rng(2)
     x = rng.normal(size=(2, 5))
     np.testing.assert_allclose(
-        ad.log_softmax(ad.tensor(x)).data, np.log(ad.softmax(ad.tensor(x)).data), atol=1e-12
+        ad.log_softmax(ad.Tensor(x)).data, np.log(ad.softmax(ad.Tensor(x)).data), atol=1e-12
     )
 
 
 def test_log_softmax_gradcheck():
     rng = np.random.default_rng(3)
-    x = ad.tensor(rng.normal(size=(2, 6)), requires_grad=True)
+    x = ad.Tensor(rng.normal(size=(2, 6)), requires_grad=True)
     w = rng.normal(size=(2, 6))
     _gradcheck(lambda: ad.tsum(ad.mul(ad.log_softmax(x, axis=-1), w)), [x])
 
 
 def test_attention_single_position_returns_value_row():
     rng = np.random.default_rng(4)
-    q = ad.tensor(rng.normal(size=(1, 1, 4)))
-    k = ad.tensor(rng.normal(size=(1, 1, 4)))
-    v = ad.tensor(rng.normal(size=(1, 1, 4)))
+    q = ad.Tensor(rng.normal(size=(1, 1, 4)))
+    k = ad.Tensor(rng.normal(size=(1, 1, 4)))
+    v = ad.Tensor(rng.normal(size=(1, 1, 4)))
     out = ad.attention(q, k, v, num_heads=2)
     np.testing.assert_allclose(out.data, v.data, atol=1e-12)
 
 
 def test_attention_zero_logits_averages_values():
-    v = ad.tensor(np.array([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]]))
-    q = ad.tensor(np.zeros((1, 2, 2)))
-    k = ad.tensor(np.zeros((1, 3, 2)))
+    v = ad.Tensor(np.array([[[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]]))
+    q = ad.Tensor(np.zeros((1, 2, 2)))
+    k = ad.Tensor(np.zeros((1, 3, 2)))
     out = ad.attention(q, k, v)
     np.testing.assert_allclose(out.data[0], np.tile(v.data[0].mean(axis=0), (2, 1)), atol=1e-12)
 
 
 def test_attention_gradcheck_two_heads():
     rng = np.random.default_rng(5)
-    q = ad.tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
-    k = ad.tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
-    v = ad.tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
+    q = ad.Tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
+    k = ad.Tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
+    v = ad.Tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
     w = rng.normal(size=(1, 3, 4))
     _gradcheck(
         lambda: ad.tsum(ad.mul(ad.attention(q, k, v, num_heads=2), w)), [q, k, v], tol=1e-5
@@ -132,27 +132,27 @@ def test_attention_gradcheck_two_heads():
 
 def test_attention_mask_blocks_keys():
     rng = np.random.default_rng(6)
-    k = ad.tensor(rng.normal(size=(1, 3, 2)))
-    v = ad.tensor(rng.normal(size=(1, 3, 2)))
-    q = ad.tensor(rng.normal(size=(1, 1, 2)))
+    k = ad.Tensor(rng.normal(size=(1, 3, 2)))
+    v = ad.Tensor(rng.normal(size=(1, 3, 2)))
+    q = ad.Tensor(rng.normal(size=(1, 1, 2)))
     mask = np.array([[[True, True, False]]])
     out = ad.attention(q, k, v, mask=mask)
-    out_trunc = ad.attention(q, ad.tensor(k.data[:, :2]), ad.tensor(v.data[:, :2]))
+    out_trunc = ad.attention(q, ad.Tensor(k.data[:, :2]), ad.Tensor(v.data[:, :2]))
     np.testing.assert_allclose(out.data, out_trunc.data, atol=1e-9)
 
 
 def test_attention_mask_shape_mismatch_errors():
-    q = ad.tensor(np.zeros((1, 2, 2)))
-    kv = ad.tensor(np.zeros((1, 3, 2)))
+    q = ad.Tensor(np.zeros((1, 2, 2)))
+    kv = ad.Tensor(np.zeros((1, 3, 2)))
     with pytest.raises(ad.ShapeError):
         ad.attention(q, kv, kv, mask=np.ones((1, 5, 4), dtype=bool))
 
 
 def test_attention_masked_gradcheck():
     rng = np.random.default_rng(7)
-    q = ad.tensor(rng.normal(size=(1, 2, 4)), requires_grad=True)
-    k = ad.tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
-    v = ad.tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
+    q = ad.Tensor(rng.normal(size=(1, 2, 4)), requires_grad=True)
+    k = ad.Tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
+    v = ad.Tensor(rng.normal(size=(1, 3, 4)), requires_grad=True)
     mask = np.array([[[True, False, True], [True, True, True]]])
     w = rng.normal(size=(1, 2, 4))
     _gradcheck(
@@ -164,16 +164,16 @@ def test_attention_masked_gradcheck():
 
 def test_layer_norm_gradcheck():
     rng = np.random.default_rng(8)
-    x = ad.tensor(rng.normal(size=(3, 5)), requires_grad=True)
-    gain = ad.tensor(rng.normal(size=5), requires_grad=True)
-    bias = ad.tensor(rng.normal(size=5), requires_grad=True)
+    x = ad.Tensor(rng.normal(size=(3, 5)), requires_grad=True)
+    gain = ad.Tensor(rng.normal(size=5), requires_grad=True)
+    bias = ad.Tensor(rng.normal(size=5), requires_grad=True)
     w = rng.normal(size=(3, 5))
     _gradcheck(lambda: ad.tsum(ad.mul(ad.layer_norm(x, gain, bias), w)), [x, gain, bias])
 
 
 def test_embedding_gradcheck_scatter():
     rng = np.random.default_rng(9)
-    table = ad.tensor(rng.normal(size=(6, 3)), requires_grad=True)
+    table = ad.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
     ids = np.array([[0, 2, 2], [5, 1, 0]])
     w = rng.normal(size=(2, 3, 3))
     _gradcheck(lambda: ad.tsum(ad.mul(ad.embedding(table, ids), w)), [table])
@@ -181,7 +181,7 @@ def test_embedding_gradcheck_scatter():
 
 def test_adjacent_pairs_layout_and_grad():
     rng = np.random.default_rng(10)
-    x = ad.tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    x = ad.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
     out = ad.adjacent_pairs(x)
     assert out.shape == (3, 6)
     np.testing.assert_array_equal(out.data[1], np.concatenate([x.data[1], x.data[2]]))
@@ -190,18 +190,18 @@ def test_adjacent_pairs_layout_and_grad():
 
 
 def test_max_over_axis_grad_routes_to_argmax():
-    x = ad.tensor(np.array([[1.0, -2.0], [0.0, 3.0]]), requires_grad=True)
+    x = ad.Tensor(np.array([[1.0, -2.0], [0.0, 3.0]]), requires_grad=True)
     out = ad.max_over_axis(x, axis=0)
     np.testing.assert_array_equal(out.data, [1.0, 3.0])
     with ad.Tape() as tape:
         loss = ad.tsum(ad.max_over_axis(x, axis=0))
-    tape.backward(loss)
+    ad.backward(tape, loss)
     np.testing.assert_array_equal(x.grad, [[1.0, 0.0], [0.0, 1.0]])
 
 
 def test_take_gradcheck():
     rng = np.random.default_rng(11)
-    x = ad.tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    x = ad.Tensor(rng.normal(size=(3, 4)), requires_grad=True)
     idx = (np.array([0, 2, 2]), np.array([1, 3, 3]))
     w = rng.normal(size=3)
     _gradcheck(lambda: ad.tsum(ad.mul(ad.take(x, idx), w)), [x])
@@ -212,7 +212,7 @@ ROWS = np.array([0, 1, 2, 4, 6, 7, 8])  # real rows of a (3, 3) slab with length
 
 def test_gather_rows_layout_and_gradcheck():
     rng = np.random.default_rng(13)
-    x = ad.tensor(rng.normal(size=(3, 3, 4)), requires_grad=True)
+    x = ad.Tensor(rng.normal(size=(3, 3, 4)), requires_grad=True)
     out = ad.gather_rows(x, ROWS)
     np.testing.assert_array_equal(out.data, x.data.reshape(9, 4)[ROWS])
     w = rng.normal(size=(len(ROWS), 4))
@@ -221,7 +221,7 @@ def test_gather_rows_layout_and_gradcheck():
 
 def test_scatter_rows_layout_and_gradcheck():
     rng = np.random.default_rng(14)
-    x = ad.tensor(rng.normal(size=(len(ROWS), 4)), requires_grad=True)
+    x = ad.Tensor(rng.normal(size=(len(ROWS), 4)), requires_grad=True)
     out = ad.scatter_rows(x, ROWS, (3, 3, 4))
     assert out.shape == (3, 3, 4)
     np.testing.assert_array_equal(out.data.reshape(9, 4)[ROWS], x.data)
@@ -234,8 +234,8 @@ def test_scatter_rows_layout_and_gradcheck():
 
 def test_logsumexp_and_stack_gradcheck():
     rng = np.random.default_rng(12)
-    a = ad.tensor(rng.normal(size=(2, 3)), requires_grad=True)
-    b = ad.tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    a = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = ad.Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     w = rng.normal(size=(2, 3))
     _gradcheck(
         lambda: ad.tsum(ad.mul(ad.logsumexp(ad.stack([a, b], axis=0), axis=0), w)), [a, b]
@@ -243,18 +243,18 @@ def test_logsumexp_and_stack_gradcheck():
 
 
 def test_backward_sum_gives_ones():
-    x = ad.tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    x = ad.Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
     with ad.Tape() as tape:
         loss = ad.tsum(x)
-    tape.backward(loss)
+    ad.backward(tape, loss)
     np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
 
 def test_backward_sum_of_squares():
-    x = ad.tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    x = ad.Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
     with ad.Tape() as tape:
         loss = ad.tsum(ad.mul(x, x))
-    tape.backward(loss)
+    ad.backward(tape, loss)
     np.testing.assert_allclose(x.grad, 2 * x.data)
 
 
@@ -266,25 +266,25 @@ def _tsum_tape(x):
 
 def test_backward_accumulates_until_zeroed():
     # leaf grads accumulate across tapes until zeroed; each tape runs once
-    x = ad.tensor(np.ones(3), requires_grad=True)
+    x = ad.Tensor(np.ones(3), requires_grad=True)
     for _ in range(2):
         tape, loss = _tsum_tape(x)
-        tape.backward(loss)
+        ad.backward(tape, loss)
     np.testing.assert_array_equal(x.grad, 2 * np.ones(3))
     x.zero_grad()
     tape, loss = _tsum_tape(x)
-    tape.backward(loss)
+    ad.backward(tape, loss)
     np.testing.assert_array_equal(x.grad, np.ones(3))
 
 
 def test_second_backward_on_a_tape_raises():
-    x = ad.tensor(np.ones(3), requires_grad=True)
+    x = ad.Tensor(np.ones(3), requires_grad=True)
     with ad.Tape() as tape:
         loss = ad.tsum(ad.mul(x, 2.0))
-    tape.backward(loss)
+    ad.backward(tape, loss)
     assert len(tape.nodes) == 2 and tape.nodes == [None, None]  # length kept, nodes taken off
     with pytest.raises(RuntimeError, match="already ran"):
-        tape.backward(loss)
+        ad.backward(tape, loss)
     np.testing.assert_array_equal(x.grad, 2 * np.ones(3))  # the failed call added nothing
 
 
@@ -332,14 +332,14 @@ def test_an_op_records_nothing_without_a_tape_or_an_input_needing_a_gradient():
     cases = _op_cases(np.float64)
     assert sorted(cases) == OPS
     for name, (arrays, call) in cases.items():  # no tape open
-        out = call(*[ad.tensor(a, requires_grad=True) for a in arrays])
+        out = call(*[ad.Tensor(a, requires_grad=True) for a in arrays])
         assert not out.requires_grad and out.node is None, name
-    x = ad.tensor(np.ones(3), requires_grad=True)
+    x = ad.Tensor(np.ones(3), requires_grad=True)
     with ad.Tape() as tape:
-        ad.add(x, ad.tensor(np.ones(3)))
+        ad.add(x, ad.Tensor(np.ones(3)))
         count = len(tape.nodes)
         for name, (arrays, call) in cases.items():
-            out = call(*[ad.tensor(a) for a in arrays])
+            out = call(*[ad.Tensor(a) for a in arrays])
             assert not out.requires_grad and out.node is None, name
     assert len(tape.nodes) == count == 1
 
@@ -348,9 +348,9 @@ def test_an_op_records_nothing_without_a_tape_or_an_input_needing_a_gradient():
 @pytest.mark.parametrize("name", OPS)
 def test_an_untaped_op_computes_the_bits_of_its_taped_run(name, dtype):
     arrays, call = _op_cases(dtype)[name]
-    untaped = call(*[ad.tensor(a, requires_grad=True) for a in arrays])
+    untaped = call(*[ad.Tensor(a, requires_grad=True) for a in arrays])
     with ad.Tape() as tape:
-        taped = call(*[ad.tensor(a, requires_grad=True) for a in arrays])
+        taped = call(*[ad.Tensor(a, requires_grad=True) for a in arrays])
     assert tape.nodes and taped.requires_grad
     assert type(untaped.data) is np.ndarray and untaped.data.dtype == taped.data.dtype == dtype
     assert untaped.data.shape == taped.data.shape
@@ -363,41 +363,41 @@ def test_an_untaped_op_that_makes_nan_raises(name):
     arrays, call = _op_cases(np.float64)[name]
     arrays[0] = np.full_like(arrays[0], np.nan)
     with pytest.raises(FloatingPointError):
-        call(*[ad.tensor(a) for a in arrays])
+        call(*[ad.Tensor(a) for a in arrays])
 
 
 def test_an_untaped_op_that_overflows_to_inf_raises():
-    x = ad.tensor(np.full(3, 3e38, dtype=np.float32))
+    x = ad.Tensor(np.full(3, 3e38, dtype=np.float32))
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
         ad.add(x, x)
 
 
 def test_backward_rejects_nonscalar_loss():
-    x = ad.tensor(np.ones(3), requires_grad=True)
+    x = ad.Tensor(np.ones(3), requires_grad=True)
     with ad.Tape() as tape:
         y = ad.mul(x, 2.0)
     with pytest.raises(ValueError, match="scalar"):
-        tape.backward(y)
+        ad.backward(tape, y)
 
 
 def test_shared_input_grads_do_not_alias():
     # z = x + x: both branches feed the same tensor; grads must sum to 2.
-    x = ad.tensor(np.ones(4), requires_grad=True)
+    x = ad.Tensor(np.ones(4), requires_grad=True)
     with ad.Tape() as tape:
         loss = ad.tsum(ad.add(x, x))
-    tape.backward(loss)
+    ad.backward(tape, loss)
     np.testing.assert_array_equal(x.grad, 2 * np.ones(4))
 
 
 def test_output_of_a_closed_tape_is_a_leaf_of_the_next():
     # a tensor made on another tape stays a leaf: its .grad receives the new
     # tape's gradient, and nothing flows on to what made it
-    w = ad.tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
+    w = ad.Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
     with ad.Tape():
         h = ad.mul(w, 2.0)
     with ad.Tape() as tape:
         loss = ad.tsum(ad.mul(h, h))
-    tape.backward(loss)
+    ad.backward(tape, loss)
     np.testing.assert_array_equal(h.grad, 2 * h.data)
     assert w.grad is None
 
@@ -405,13 +405,13 @@ def test_output_of_a_closed_tape_is_a_leaf_of_the_next():
 def test_a_tape_frees_without_the_cycle_collector():
     # nodes name their tape by serial number, not by reference, so a tape and
     # the arrays it saved go as soon as the last reference to them does
-    x = ad.tensor(np.ones((4, 3)), requires_grad=True)
-    w = ad.tensor(np.ones((3, 2)), requires_grad=True)
+    x = ad.Tensor(np.ones((4, 3)), requires_grad=True)
+    w = ad.Tensor(np.ones((3, 2)), requires_grad=True)
     gc.disable()
     try:
         with ad.Tape() as tape:
             loss = ad.tsum(ad.relu(ad.matmul(x, w)))
-        tape.backward(loss)
+        ad.backward(tape, loss)
         tape_ref = weakref.ref(tape)
         del tape, loss
         assert tape_ref() is None
@@ -423,11 +423,11 @@ def test_a_tape_frees_without_the_cycle_collector():
 @given(st.integers(0, 2**32 - 1))
 def test_ops_stay_finite_on_bounded_inputs(seed):
     rng = np.random.default_rng(seed)
-    x = ad.tensor(rng.uniform(-1e3, 1e3, size=(3, 4)))
-    y = ad.tensor(rng.uniform(-1e3, 1e3, size=(4, 3)))
-    gain = ad.tensor(np.ones(4))
-    bias = ad.tensor(np.zeros(4))
-    batch = ad.tensor(x.data[None])
+    x = ad.Tensor(rng.uniform(-1e3, 1e3, size=(3, 4)))
+    y = ad.Tensor(rng.uniform(-1e3, 1e3, size=(4, 3)))
+    gain = ad.Tensor(np.ones(4))
+    bias = ad.Tensor(np.zeros(4))
+    batch = ad.Tensor(x.data[None])
     for out in (
         ad.matmul(x, y),
         ad.softmax(x, axis=-1),
@@ -455,7 +455,7 @@ def test_relu_matches_the_where_formula_bit_for_bit(dtype):
     tiny = np.finfo(dtype).tiny
     x.flat[:6] = [-0.0, 0.0, -tiny, tiny, -tiny / 4, tiny / 4]  # signed zeros and subnormals
     with ad.Tape() as tape:
-        y = ad.relu(ad.tensor(x, requires_grad=True))
+        y = ad.relu(ad.Tensor(x, requires_grad=True))
     assert _same_bits(y.data, np.where(x > 0, x, 0))  # -0.0 comes out as +0.0
     g = rng.normal(size=x.shape).astype(dtype)
     (gx,) = tape.nodes[0].backward_fn(g)
@@ -464,7 +464,7 @@ def test_relu_matches_the_where_formula_bit_for_bit(dtype):
 
 def test_relu_propagates_nan():
     ad.set_finite_checks(False)  # the autouse fixture turns them back on
-    out = ad.relu(ad.tensor(np.array([np.nan, -1.0, 2.0]))).data
+    out = ad.relu(ad.Tensor(np.array([np.nan, -1.0, 2.0]))).data
     assert np.isnan(out[0]) and out[1] == 0.0 and out[2] == 2.0
 
 
@@ -486,7 +486,7 @@ def test_layer_norm_matches_a_mean_reference_bit_for_bit(dtype, shape):
     x = (rng.normal(size=shape) * 3 + 1).astype(dtype)
     gain = rng.normal(size=shape[-1]).astype(dtype)
     bias = rng.normal(size=shape[-1]).astype(dtype)
-    out = ad.layer_norm(ad.tensor(x), ad.tensor(gain), ad.tensor(bias)).data
+    out = ad.layer_norm(ad.Tensor(x), ad.Tensor(gain), ad.Tensor(bias)).data
     assert _same_bits(out, _layer_norm_with_mean(x, gain, bias))
 
 
@@ -497,11 +497,11 @@ def test_attention_without_mask_equals_an_all_true_mask_bit_for_bit(dtype):
     g = rng.normal(size=(3, 6, 8)).astype(dtype)
     results = []
     for mask in (None, np.ones((3, 1, 6), dtype=bool)):
-        ts = [ad.tensor(a, requires_grad=True) for a in (q, k, v)]
+        ts = [ad.Tensor(a, requires_grad=True) for a in (q, k, v)]
         with ad.Tape() as tape:
             out = ad.attention(*ts, num_heads=2, mask=mask)
             loss = ad.tsum(ad.mul(out, g))
-        tape.backward(loss)
+        ad.backward(tape, loss)
         results.append([out.data] + [t.grad for t in ts])
     for a, b in zip(*results):
         assert _same_bits(a, b)
@@ -573,7 +573,7 @@ def test_attention_matches_a_heads_as_copies_reference_bit_for_bit(dtype, mask_k
     if mask_kind is not None:
         mask = rng.random(size=(B, 1 if mask_kind == "keys" else Tq, Tk)) < 0.7
         mask[..., 0] = True  # every query sees at least one key
-    ts = [ad.tensor(a, requires_grad=True) for a in (q, k, v)]
+    ts = [ad.Tensor(a, requires_grad=True) for a in (q, k, v)]
     with ad.Tape() as tape:
         out = ad.attention(*ts, num_heads=num_heads, mask=mask)
     grads = tape.nodes[-1].backward_fn(g)

@@ -228,6 +228,25 @@ def test_unreadable_path_is_a_usage_error(tiny_run, tmp_path, capsys, argv):
     assert len(captured.err.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["decode", "--checkpoint", "{ckpt}", "--input", "{bad}"], id="decode-input"),
+        pytest.param(["eval", "--checkpoint", "{ckpt}", "--data", "{bad}", "--out-dir", "{out}"], id="eval-data"),
+        pytest.param(["train", "--config", "{bad}", "--run-dir", "{out}"], id="train-config"),
+    ],
+)
+def test_non_utf8_input_is_a_usage_error(tiny_run, tmp_path, capsys, argv):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"w0 w1\tw0 w1\nw0 \xff\n")
+    paths = {"ckpt": os.path.join(tiny_run, "ckpt-8.insr"), "bad": str(bad), "out": str(tmp_path / "out")}
+    assert main([a.format(**paths) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(bad) in captured.err and "UTF-8" in captured.err, captured.err
+    assert "Traceback" not in captured.err and len(captured.err.splitlines()) == 1
+    assert captured.out == "" and not os.path.exists(tmp_path / "out")
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["decode", "--checkpoint", "x"]) == 1  # missing input source
     assert main([]) == 1
@@ -259,6 +278,8 @@ def test_output_length_past_max_positions_is_rejected(tiny_run, tmp_path, capsys
         pytest.param(["decode", "--tokens", "w0", "--max-output-length", "-3"], id="decode-negative-length"),
         pytest.param(["eval", "--limit", "2", "--sweep-beta=-2:1:1"], id="eval-negative-sweep"),
         pytest.param(["eval", "--limit", "2", "--sweep-beta=3:1:1"], id="eval-empty-sweep"),
+        pytest.param(["eval", "--limit", "2", "--sweep-beta=0:inf:1"], id="eval-infinite-sweep-stop"),
+        pytest.param(["eval", "--limit", "2", "--sweep-beta=0:1:inf"], id="eval-infinite-sweep-step"),
     ],
 )
 def test_bad_decode_flag_is_a_usage_error(tiny_run, tmp_path, capsys, argv):

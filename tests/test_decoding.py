@@ -359,6 +359,15 @@ def test_beta_sweep_grid():
     assert values[0] == 0.0 and values[-1] == 7.0
 
 
+@pytest.mark.parametrize(
+    "start, stop, step",
+    [(0.0, math.inf, 1.0), (0.0, 1.0, math.inf), (-math.inf, 1.0, 0.5), (math.nan, 1.0, 0.5), (0.0, 1.0, math.nan)],
+)
+def test_beta_sweep_rejects_a_non_finite_value(start, stop, step):
+    with pytest.raises(ValueError, match="must be finite"):
+        beta_sweep_values(start, stop, step)
+
+
 def test_single_step_beta_monotonicity():
     # raising beta never flips a non-terminal argmax to terminal
     rng = np.random.default_rng(5)

@@ -140,7 +140,7 @@ def _logp_grid(vocab: int, slots: int, rng) -> np.ndarray:
 
 def _item_loss(logp: np.ndarray, targets) -> float:
     """The batch loss of a single item (B = 1) from hand-built log-probs."""
-    return weighted_nll(ad.tensor(logp[None]), [targets]).item()
+    return weighted_nll(ad.Tensor(logp[None]), [targets]).item()
 
 
 def _span_target(y, span: range, location: int, weights):
@@ -209,7 +209,7 @@ def test_full_loss_identity_and_mean():
 
 
 def test_full_loss_rejects_empty():
-    logp = ad.tensor(np.zeros((2, 1, NUM_RESERVED + 2)))
+    logp = ad.Tensor(np.zeros((2, 1, NUM_RESERVED + 2)))
     with pytest.raises(ValueError, match="row 1"):
         weighted_nll(logp, [[(0, (EOSLOT,), (1.0,))], []])
 
@@ -311,7 +311,7 @@ def test_loss_gradients_match_finite_differences():
     rng = np.random.default_rng(3)
     vocab = NUM_RESERVED + 5
     y = tuple(rng.integers(NUM_RESERVED, vocab, size=3).tolist())
-    logits = ad.tensor(rng.normal(size=(4, vocab)), requires_grad=True)
+    logits = ad.Tensor(rng.normal(size=(4, vocab)), requires_grad=True)
     kept = (1,)
 
     def build(config):
@@ -331,7 +331,7 @@ def test_loss_gradients_match_finite_differences():
         f = build(config)
         with ad.Tape() as tape:
             loss = f()
-        tape.backward(loss)
+        ad.backward(tape, loss)
         numeric = central_difference_grad(lambda: f().item(), logits.data)
         assert max_rel_error(logits.grad, numeric) < 1e-4
         logits.zero_grad()
@@ -364,5 +364,5 @@ def test_batch_loss_matches_slotwise_reference(seed, n, batch):
                 terms.append(-float(np.dot(w, logp[b, l, list(y[span.start : span.stop])])))
         expected.append(np.mean(terms))
     targets = [build_slot_targets(y, kept, config) for y, kept in zip(ys, kepts)]
-    got = weighted_nll(ad.tensor(logp), targets).item()
+    got = weighted_nll(ad.Tensor(logp), targets).item()
     assert abs(got - float(np.mean(expected))) < 1e-9
