@@ -22,7 +22,7 @@ from .config import ConfigError, RunConfig, load_config, run_from_checkpoint, wr
 from .decoding import DecodeConfig, TraceFormatError, beta_sweep_values, decode, read_trace, render_trace, write_trace
 from .model import InsertionModel
 from .perf import limit_blas_threads
-from .tasks import CorpusFormatError, evaluate, generate_datasets, load_corpus, save_corpus
+from .tasks import CorpusFormatError, evaluate, format_or_na, generate_datasets, load_corpus, save_corpus
 from .training import TrainingDiverged, train
 from .vocab import Vocab
 
@@ -113,6 +113,8 @@ def _read_sources(args, vocab: Vocab, model: InsertionModel) -> list[TokenSeq]:
                 lines = [line for line in f.read().splitlines() if line.strip()]
         except UnicodeDecodeError as e:
             raise CorpusFormatError(f"{args.input}: not UTF-8 text ({e})") from None
+        if not lines:
+            raise CorpusFormatError(f"{args.input}: no source line")
     sources = []
     for num, line in enumerate(lines, start=1):
         try:
@@ -134,9 +136,9 @@ def cmd_decode(args) -> int:
         print(vocab.decode(out))
         if args.trace:
             path = args.trace
-            if len(sources) > 1:
-                stem, dot, ext = args.trace.rpartition(".")
-                path = f"{stem}.{index}{dot}{ext}" if dot else f"{args.trace}.{index}"
+            if len(sources) > 1:  # number the file name, not a dotted directory: out.trace -> out.0.trace
+                stem, ext = os.path.splitext(args.trace)
+                path = f"{stem}.{index}{ext}"
             with open(path, "w", encoding="utf-8") as f:
                 write_trace(f, trace, source=x, vocab_tokens=vocab.tokens)
     return 0
@@ -180,7 +182,7 @@ def cmd_eval(args) -> int:
             mark = "*" if beta == best[0] else ""
             lines.append(
                 f"{beta:g}\t{report.sequence_accuracy:.6f}\t{report.bleu:.4f}"
-                f"\t{report.mean_output_length:.4f}\t{report.mean_insertion_iterations:.4f}\t{mark}"
+                f"\t{report.mean_output_length:.4f}\t{format_or_na(report.mean_insertion_iterations, '.4f')}\t{mark}"
             )
         table = "\n".join(lines) + "\n"
         with open(os.path.join(out_dir, "sweep.tsv"), "w", encoding="utf-8") as f:

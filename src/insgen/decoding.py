@@ -69,8 +69,8 @@ class DecodeConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown decode mode {self.mode!r}")
-        if not self.eos_penalty >= 0:  # also rejects NaN
-            raise ValueError(f"eos_penalty must be nonnegative, got {self.eos_penalty}")
+        if not 0 <= self.eos_penalty < math.inf:  # also rejects NaN
+            raise ValueError(f"eos_penalty must be finite and nonnegative, got {self.eos_penalty}")
         if self.max_output_length < 1:
             raise ValueError(f"max_output_length must be at least 1, got {self.max_output_length}")
         if self.termination not in TERMINATIONS:

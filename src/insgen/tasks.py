@@ -15,6 +15,7 @@ logarithmic decoding bound.
 from __future__ import annotations
 
 import dataclasses
+import math
 import statistics
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -200,8 +201,6 @@ def corpus_bleu(hyps: list[TokenSeq], refs: list[TokenSeq]) -> float:
 
     Unsmoothed: exactly 0 when any order has no match.
     """
-    import math
-
     max_n = 4
     if len(hyps) != len(refs):
         raise ValueError(f"corpus size mismatch: {len(hyps)} hyps vs {len(refs)} refs")
@@ -240,13 +239,18 @@ class IterationRow:
     upper_bound: int
 
 
+def format_or_na(value: float, spec: str) -> str:
+    """`value` formatted by `spec`, or n/a for NaN (a mean over no finished decode)."""
+    return "n/a" if math.isnan(value) else format(value, spec)
+
+
 @dataclass
 class EvalReport:
     num_items: int
     sequence_accuracy: float
     mean_edit_distance: float
     bleu: float
-    mean_insertion_iterations: float
+    mean_insertion_iterations: float  # over the decodes that finished; NaN when all were truncated
     median_insertion_iterations: float
     truncated: int
     rows: list[IterationRow] = field(default_factory=list)
@@ -258,8 +262,8 @@ class EvalReport:
             f"sequence_accuracy\t{self.sequence_accuracy:.6f}",
             f"mean_edit_distance\t{self.mean_edit_distance:.6f}",
             f"corpus_bleu\t{self.bleu:.4f}",
-            f"mean_insertion_iterations\t{self.mean_insertion_iterations:.4f}",
-            f"median_insertion_iterations\t{self.median_insertion_iterations:.1f}",
+            f"mean_insertion_iterations\t{format_or_na(self.mean_insertion_iterations, '.4f')}",
+            f"median_insertion_iterations\t{format_or_na(self.median_insertion_iterations, '.1f')}",
             f"mean_output_length\t{self.mean_output_length:.4f}",
             f"truncated\t{self.truncated}",
         ]
@@ -307,10 +311,8 @@ def evaluate(policy, dataset: Dataset, config: DecodeConfig) -> EvalReport:
         sequence_accuracy=exact / len(dataset),
         mean_edit_distance=float(np.mean(dists)),
         bleu=corpus_bleu(hyps, refs),
-        mean_insertion_iterations=float(np.mean(iteration_counts)) if iteration_counts else 0.0,
-        median_insertion_iterations=(
-            float(statistics.median(iteration_counts)) if iteration_counts else 0.0
-        ),
+        mean_insertion_iterations=float(np.mean(iteration_counts)) if iteration_counts else math.nan,
+        median_insertion_iterations=float(statistics.median(iteration_counts)) if iteration_counts else math.nan,
         truncated=truncated,
         rows=rows,
         mean_output_length=float(np.mean([len(h) for h in hyps])),

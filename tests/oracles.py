@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from insgen.canvas import TokenSeq
-from insgen.vocab import EOS, EOSLOT
+from insgen.vocab import EOS, EOSLOT, NUM_RESERVED
 
 LOW = -30.0
 HIGH = -0.5
@@ -44,6 +44,22 @@ class ScriptedPolicy:
         else:
             for content, location in actions:
                 logp[location, content] = HIGH
+        return logp
+
+
+class Gusher:
+    """Never stops: inserts the first content token at slot 0 and ends every other slot."""
+
+    def __init__(self, vocab_size: int):
+        self.vocab_size = vocab_size
+
+    def encode(self, x: TokenSeq):
+        return None
+
+    def log_probs(self, memory, canvas: TokenSeq) -> np.ndarray:
+        logp = np.full((len(canvas) + 1, self.vocab_size), LOW)
+        logp[0, NUM_RESERVED] = HIGH
+        logp[1:, EOSLOT] = HIGH
         return logp
 
 

@@ -134,6 +134,46 @@ def test_decode_trace_round_trip(tiny_run, tmp_path, capsys):
     assert capsys.readouterr().out == rendered
 
 
+def test_multi_source_traces_number_the_file_name_not_a_dotted_directory(tiny_run, tmp_path, capsys):
+    ckpt = os.path.join(tiny_run, "ckpt-8.insr")
+    sources = tmp_path / "sources.txt"
+    sources.write_text("w0 w1\nw2 w3 w4\n")
+    trace_dir = tmp_path / "v1.2"
+    trace_dir.mkdir()
+    assert main(["decode", "--checkpoint", ckpt, "--input", str(sources), "--trace", str(trace_dir / "t")]) == 0
+    assert sorted(os.listdir(trace_dir)) == ["t.0", "t.1"]
+    for index, source in enumerate([[6, 7], [8, 9, 10]]):
+        with open(trace_dir / f"t.{index}") as f:
+            assert read_trace(f)[1]["source"] == source
+        assert main(["trace-render", str(trace_dir / f"t.{index}")]) == 0
+    # an extension stays last
+    assert main(["decode", "--checkpoint", ckpt, "--input", str(sources), "--trace", str(trace_dir / "out.trace")]) == 0
+    assert {"out.0.trace", "out.1.trace"} <= set(os.listdir(trace_dir))
+
+
+def test_decode_input_with_no_source_line_is_a_usage_error(tiny_run, tmp_path, capsys):
+    blank = tmp_path / "blank.txt"
+    blank.write_text("\n   \n\t\n")
+    assert main(["decode", "--checkpoint", os.path.join(tiny_run, "ckpt-8.insr"), "--input", str(blank)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and str(blank) in captured.err, captured.err
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+
+
+def test_eval_reports_no_iterations_when_every_decode_is_truncated(tiny_run, tmp_path, capsys):
+    # a huge terminal penalty keeps every decode inserting up to the length cap
+    ckpt = os.path.join(tiny_run, "ckpt-8.insr")
+    out_dir = tmp_path / "eval"
+    argv = ["eval", "--checkpoint", ckpt, "--limit", "3", "--out-dir", str(out_dir)]
+    assert main(argv + ["--beta", "1e9"]) == 0
+    report = (out_dir / "report.txt").read_text()
+    assert "truncated\t3\n" in report and "mean_insertion_iterations\tn/a\n" in report, report
+    assert "median_insertion_iterations\tn/a\n" in report
+    assert main(argv + ["--sweep-beta", "1e9:1e9:1"]) == 0
+    rows = (out_dir / "sweep.tsv").read_text().splitlines()
+    assert len(rows) == 2 and rows[1].split("\t")[4] == "n/a", rows
+
+
 def test_eval_writes_report(tiny_run, tmp_path, capsys):
     ckpt = os.path.join(tiny_run, "ckpt-8.insr")
     out_dir = str(tmp_path / "eval")
@@ -275,6 +315,8 @@ def test_output_length_past_max_positions_is_rejected(tiny_run, tmp_path, capsys
     [
         pytest.param(["decode", "--tokens", "w0", "--beta", "-1"], id="decode-negative-beta"),
         pytest.param(["decode", "--tokens", "w0", "--beta", "nan"], id="decode-nan-beta"),
+        pytest.param(["decode", "--tokens", "w0", "--beta", "inf"], id="decode-infinite-beta"),
+        pytest.param(["eval", "--limit", "2", "--beta", "inf"], id="eval-infinite-beta"),
         pytest.param(["decode", "--tokens", "w0", "--max-output-length", "-3"], id="decode-negative-length"),
         pytest.param(["eval", "--limit", "2", "--sweep-beta=-2:1:1"], id="eval-negative-sweep"),
         pytest.param(["eval", "--limit", "2", "--sweep-beta=3:1:1"], id="eval-empty-sweep"),
@@ -427,6 +469,7 @@ def test_train_data_size_contract_is_a_usage_error(tmp_path, capsys, override, m
             id="termination-mismatch",
         ),
         pytest.param("train.learning_rate=NaN", "learning_rate must be finite and > 0", id="nan-learning-rate"),
+        pytest.param("decode.eos_penalty=Infinity", "eos_penalty must be finite and nonnegative", id="infinite-beta"),
         pytest.param("train.adam_beta2=1", "adam_beta2 must lie in (0, 1)", id="beta2-one"),
         pytest.param("train.adam_beta1=1.5", "adam_beta1 must lie in (0, 1)", id="beta1-above-one"),
         pytest.param("model.vocab_size=7", "model vocab_size 7 smaller than task vocab", id="vocab-too-small"),
@@ -475,6 +518,10 @@ def test_eval_on_a_bad_task_checkpoint_is_a_usage_error(tiny_run, tmp_path, caps
         pytest.param(lambda e: e.clear(), "checkpoint records no vocab, loss, task, decode", id="empty-record"),
         pytest.param(lambda e: e.update(decode=[]), "config section [decode] must be an object", id="decode-not-object"),
         pytest.param(lambda e: e.update(vocab=["w0"]), "bad recorded vocab", id="vocab-without-reserved"),
+        pytest.param(
+            lambda e: e["decode"].update(eos_penalty=float("inf")), "eos_penalty must be finite and nonnegative",
+            id="infinite-beta",
+        ),
     ],
 )
 def test_decode_on_a_bad_record_is_a_usage_error(tiny_run, tmp_path, capsys, change, message):

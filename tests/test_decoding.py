@@ -24,7 +24,7 @@ from insgen.decoding import (
     write_trace,
 )
 from insgen.vocab import EOS, EOSLOT, NUM_RESERVED
-from oracles import BalancedTreePolicy, ScriptedPolicy, is_subsequence
+from oracles import BalancedTreePolicy, Gusher, ScriptedPolicy, is_subsequence
 
 V = NUM_RESERVED + 10
 ATE, TOGETHER, FRIENDS, THREE, LUNCH = (NUM_RESERVED + i for i in range(5))
@@ -302,18 +302,7 @@ def test_iteration_lower_bound_matches_power_table(n):
 
 @pytest.mark.parametrize("mode", ["greedy", "parallel"])
 def test_truncation_flag_at_length_cap(mode):
-    # a policy that never stops: always insert at slot 0, end every other slot
-    class Gusher:
-        def encode(self, x):
-            return None
-
-        def log_probs(self, memory, canvas):
-            logp = np.full((len(canvas) + 1, V), -20.0)
-            logp[0, NUM_RESERVED] = -0.1
-            logp[1:, EOSLOT] = -0.1
-            return logp
-
-    out, trace = decode(Gusher(), (0,), DecodeConfig(mode=mode, max_output_length=5))
+    out, trace = decode(Gusher(V), (0,), DecodeConfig(mode=mode, max_output_length=5))
     assert trace.truncated
     assert len(out) == 5
     assert [len(s.canvas_before) for s in trace.steps] == [0, 1, 2, 3, 4]  # no step for the refused query

@@ -24,7 +24,7 @@ from insgen.tasks import (
     save_corpus,
 )
 from insgen.vocab import NUM_RESERVED, UNK, Vocab, build_vocab, content_vocab
-from oracles import BalancedTreePolicy
+from oracles import BalancedTreePolicy, Gusher
 
 
 def test_vocab_reserved_ids_lowest():
@@ -345,3 +345,16 @@ def test_evaluate_rejects_an_empty_dataset():
     policy = BalancedTreePolicy((NUM_RESERVED,), vocab_size=NUM_RESERVED + 1)
     with pytest.raises(ValueError, match="empty dataset"):
         tasks.evaluate(policy, [], DecodeConfig(mode="parallel"))
+
+
+def test_evaluate_reports_no_iterations_when_every_decode_is_truncated():
+    # the iteration means cover finished decodes only; with none, 0 would read as instant decoding
+    vocab_size = NUM_RESERVED + 2
+    dataset = [((NUM_RESERVED,), (NUM_RESERVED,)), ((NUM_RESERVED + 1,), (NUM_RESERVED + 1,))]
+    for mode in ("greedy", "parallel"):
+        report = tasks.evaluate(Gusher(vocab_size), dataset, DecodeConfig(mode=mode, max_output_length=4))
+        assert report.truncated == 2 and report.mean_output_length == 4
+        assert math.isnan(report.mean_insertion_iterations) and math.isnan(report.median_insertion_iterations)
+        assert report.rows == []
+        rendered = report.render()
+        assert "mean_insertion_iterations\tn/a\n" in rendered and "median_insertion_iterations\tn/a\n" in rendered
