@@ -285,7 +285,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a_shape[-1] != b_data.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a_shape} vs {b_data.shape}")
     k, n = b_data.shape
-    out = _output((a_data.reshape(-1, k) @ b_data).reshape(a_shape[:-1] + (n,)))
+    out = _output(np.dot(a_data.reshape(-1, k), b_data).reshape(a_shape[:-1] + (n,)))
     if not _TAPE_STACK:
         return out
 
@@ -317,7 +317,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if x_shape[-1] != w_data.shape[0]:
         raise ShapeError(f"affine inner dimensions disagree: {x_shape} vs {w_data.shape}")
     k, n = w_data.shape
-    y = x_data.reshape(-1, k) @ w_data
+    y = np.dot(x_data.reshape(-1, k), w_data)
     y += b.data
     out = _output(y.reshape(x_shape[:-1] + (n,)))
     if not _TAPE_STACK:
@@ -437,9 +437,17 @@ def logsumexp(a: Tensor, axis: int = 0) -> Tensor:
 
 
 def _mean_last(a: np.ndarray) -> np.ndarray:
-    """a.mean(axis=-1, keepdims=True) by ndarray.mean's own steps, without its Python wrapper."""
+    """a.mean(axis=-1, keepdims=True), bit for bit, in two numpy calls.
+
+    It sums the rows as ndarray.mean does. ndarray.mean then divides by the
+    integer count in float64, and for a float32 sum rounds the quotient to
+    float32; `/=` divides once in the array's own dtype. The two agree:
+    rounding a float64 quotient to float32 gives the correctly rounded
+    float32 quotient, because double rounding is harmless for division
+    when 53 >= 2*24 + 2.
+    """
     s = np.add.reduce(a, axis=-1, keepdims=True)
-    np.true_divide(s, np.intp(a.shape[-1]), out=s, casting="unsafe")
+    s /= a.shape[-1]
     return s
 
 
@@ -448,8 +456,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     x_data = x.data
     mu = _mean_last(x_data)
     xhat = x_data - mu
-    var = np.einsum("...i,...i->...", xhat, xhat)[..., None] / x_data.shape[-1]
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = np.einsum("...i,...i->...", xhat, xhat)[..., None]  # the variance chain, in place on one buffer
+    inv /= x_data.shape[-1]
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.reciprocal(inv, out=inv)
     xhat *= inv
     gain_data = gain.data
     y = xhat * gain_data

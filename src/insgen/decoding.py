@@ -199,6 +199,9 @@ def iteration_lower_bound(n: int) -> int:
     return n.bit_length()
 
 
+MAX_SWEEP_VALUES = 1000  # each value is one full evaluation of the dataset
+
+
 def beta_sweep_values(start: float = 0.0, stop: float = 7.0, step: float = 0.5) -> list[float]:
     """Inclusive penalty grid, by default [0, 7] in steps of 0.5."""
     for name, value in (("start", start), ("stop", stop), ("step", step)):
@@ -208,7 +211,10 @@ def beta_sweep_values(start: float = 0.0, stop: float = 7.0, step: float = 0.5) 
         raise ValueError("sweep step must be positive")
     if stop < start:
         raise ValueError("sweep stop must not be below its start")
-    count = int(round((stop - start) / step)) + 1
+    quotient = (stop - start) / step  # inf when it overflows
+    count = int(round(quotient)) + 1 if math.isfinite(quotient) else math.inf
+    if count > MAX_SWEEP_VALUES:
+        raise ValueError(f"sweep would have {count} values, more than the cap of {MAX_SWEEP_VALUES}")
     return [start + i * step for i in range(count)]
 
 
@@ -240,16 +246,30 @@ class TraceFormatError(ValueError):
         self.offset = offset
 
 
+def _token_ids(values) -> TokenSeq:
+    """A trace's list of token ids as a tuple; each must be a JSON integer, not a bool or a float."""
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise ValueError(f"expected a list of integer token ids, got {values!r}")
+    return tuple(values)
+
+
 def _action_record(c, l, lp) -> ActionRecord:
-    return int(c), int(l), float(lp)
+    if type(c) is not int or type(l) is not int or type(lp) not in (int, float):
+        raise ValueError(f"an action needs integer content and location and a numeric logprob, got {[c, l, lp]!r}")
+    return c, l, float(lp)
 
 
 def read_trace(fh) -> tuple[DecodeTrace, dict]:
     """Read a `write_trace` file, replaying its actions from the empty canvas.
 
-    Each record's canvas, then the header's `final`, must equal the replay;
-    anything else raises TraceFormatError with the byte offset of the line at
-    fault. Lines may be text or bytes; with bytes a non-UTF-8 line gets its own offset.
+    The header's `version` must be 1. Token ids (an action's content and
+    location, every entry of a record's `canvas` and of the header's
+    `final`) must be JSON integers, not bools or floats, a logprob must be
+    a JSON number, and a record's `terminal` is null or an action. Each
+    record's canvas, then the header's `final`, must equal the replay;
+    anything else raises TraceFormatError with the byte offset of the line
+    at fault. Lines may be text or bytes; with bytes a non-UTF-8 line gets
+    its own offset.
     """
     header, steps, canvas, offset = None, [], (), 0
     try:
@@ -260,18 +280,22 @@ def read_trace(fh) -> tuple[DecodeTrace, dict]:
             if header is None:
                 if rec.get("type") != "trace":
                     raise ValueError("missing trace header")
+                version = rec.get("version")
+                if type(version) is not int or version != 1:
+                    raise ValueError(f"unsupported version {version!r}, expected 1")
                 vocab = rec.get("vocab", [])
                 if not isinstance(rec.get("final"), list) or not isinstance(rec.get("truncated"), bool):
                     raise ValueError("the header needs a list 'final' and a bool 'truncated'")
+                _token_ids(rec["final"])
                 if not isinstance(vocab, list) or not all(isinstance(t, str) for t in vocab):
                     raise ValueError("the header's 'vocab' must be a list of strings")
                 header = rec
             else:
                 terminal = rec.get("terminal")
                 step = TraceStep(
-                    tuple(rec["canvas"]),
+                    _token_ids(rec["canvas"]),
                     tuple(_action_record(*a) for a in rec["actions"]),
-                    _action_record(*terminal) if terminal else None,
+                    None if terminal is None else _action_record(*terminal),
                 )
                 if step.canvas_before != canvas:
                     raise ValueError(f"canvas {list(step.canvas_before)} is not the replayed {list(canvas)}")

@@ -176,16 +176,39 @@ def load_corpus(path: str, vocab: Vocab) -> Dataset:
 
 
 def edit_distance(a: TokenSeq, b: TokenSeq) -> int:
-    """Token-level Levenshtein distance."""
+    """Token-level Levenshtein distance, by Myers' bit-parallel algorithm.
+
+    Myers (J. ACM 46(3), 1999), in Hyyrö's form for the global distance:
+    one column of the dynamic-programming table over the shorter sequence
+    is held as bit-vectors of its vertical deltas (+1 in `pv`, -1 in `mv`),
+    and each token of the longer sequence advances the whole column with a
+    few word operations. The vectors are Python ints, so any length fits;
+    masking `pv` to the column keeps them from growing.
+    """
     if len(a) < len(b):
         a, b = b, a
-    prev = list(range(len(b) + 1))
-    for i, ta in enumerate(a, start=1):
-        cur = [i]
-        for j, tb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ta != tb)))
-        prev = cur
-    return prev[-1]
+    m = len(b)
+    if m == 0:
+        return len(a)
+    peq: dict[int, int] = {}  # token -> the rows of b that hold it
+    for i, t in enumerate(b):
+        peq[t] = peq.get(t, 0) | 1 << i
+    mask, last = (1 << m) - 1, 1 << (m - 1)
+    pv, mv, dist = mask, 0, m
+    for t in a:
+        eq = peq.get(t, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        ph = ph << 1 | 1  # row 0 of the table steps by +1 along a
+        pv = (mh << 1 | ~(xv | ph)) & mask
+        mv = ph & xv
+    return dist
 
 
 def _ngram_counts(seq: TokenSeq, n: int) -> dict[tuple, int]:

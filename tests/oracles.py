@@ -1,4 +1,4 @@
-"""Independent oracles for decoding tests: hand-scripted policies and a subsequence check.
+"""Independent oracles: hand-scripted policies, a subsequence check, and an edit-distance table.
 
 The policies bypass the neural model entirely: they expose the same
 encode/log_probs surface the decoder consumes, but place their probability
@@ -21,6 +21,17 @@ def is_subsequence(candidate: TokenSeq, reference: TokenSeq) -> bool:
     """True iff candidate can be obtained by deleting tokens from reference."""
     it = iter(reference)
     return all(tok in it for tok in candidate)
+
+
+def edit_distance_table(a: TokenSeq, b: TokenSeq) -> int:
+    """Token-level Levenshtein distance by the O(n*m) dynamic-programming table, one row at a time."""
+    prev = list(range(len(b) + 1))
+    for i, ta in enumerate(a, start=1):
+        cur = [i]
+        for j, tb in enumerate(b, start=1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ta != tb)))
+        prev = cur
+    return prev[-1]
 
 
 class ScriptedPolicy:

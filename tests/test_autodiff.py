@@ -468,6 +468,29 @@ def test_relu_propagates_nan():
     assert np.isnan(out[0]) and out[1] == 0.0 and out[2] == 2.0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_mean_last_equals_ndarray_mean_bit_for_bit(dtype):
+    rng = np.random.default_rng(3)
+    for width in range(1, 301):
+        scale = 10.0 ** rng.uniform(-20, 20, size=(6, 1))  # each row its own magnitude
+        x = (rng.normal(size=(6, width)) * scale).astype(dtype)
+        assert _same_bits(ad._mean_last(x), x.mean(axis=-1, keepdims=True)), width
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("k, n", [(64, 64), (64, 256), (17, 5)])
+def test_affine_and_matmul_equal_the_matmul_operator_bit_for_bit(dtype, k, n):
+    rng = np.random.default_rng(4)
+    w = rng.normal(size=(k, n)).astype(dtype)
+    b = rng.normal(size=n).astype(dtype)
+    for rows in range(1, 41):  # one row included, where numpy may pick a matrix-vector kernel
+        x = rng.normal(size=(1, rows, k)).astype(dtype)
+        product = x.reshape(-1, k) @ w
+        assert _same_bits(ad.matmul(ad.Tensor(x), ad.Tensor(w)).data, product.reshape(1, rows, n)), rows
+        got = ad.affine(ad.Tensor(x), ad.Tensor(w), ad.Tensor(b)).data
+        assert _same_bits(got, (product + b).reshape(1, rows, n)), rows
+
+
 def _layer_norm_with_mean(x, gain, bias, eps=1e-5):
     """layer_norm's forward as written with ndarray.mean."""
     mu = x.mean(axis=-1, keepdims=True)
@@ -480,7 +503,7 @@ def _layer_norm_with_mean(x, gain, bias, eps=1e-5):
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("shape", [(8, 34, 64), (3, 5, 17), (7,)])
+@pytest.mark.parametrize("shape", [(8, 34, 64), (3, 5, 17), (7,), (5, 1), (5, 2), (3, 4, 300)])
 def test_layer_norm_matches_a_mean_reference_bit_for_bit(dtype, shape):
     rng = np.random.default_rng(1)
     x = (rng.normal(size=shape) * 3 + 1).astype(dtype)

@@ -232,6 +232,24 @@ def _record(canvas, actions):
         pytest.param(GOOD_HEADER + b'{"canvas": \xff\xfe}\n', len(GOOD_HEADER), id="not-utf8"),
         pytest.param(GOOD_HEADER + _record([6], [[6, 0, -0.1]]), len(GOOD_HEADER), id="canvas-not-the-replay"),
         pytest.param(GOOD_HEADER + _record([], [[7, 0, -0.1]]) + _record([7], []), 0, id="final-not-the-replay"),
+        pytest.param(GOOD_HEADER + _record([], [[6.9, 0, -0.1]]), len(GOOD_HEADER), id="float-content"),
+        pytest.param(GOOD_HEADER + _record([], [[6, 0.5, -0.1]]), len(GOOD_HEADER), id="float-location"),
+        pytest.param(GOOD_HEADER + _record([], [[6, False, -0.1]]), len(GOOD_HEADER), id="bool-location"),
+        pytest.param(GOOD_HEADER + _record([], [["6", 0, "-0.1"]]), len(GOOD_HEADER), id="string-content-and-logprob"),
+        pytest.param(GOOD_HEADER.replace(b"[6]", b"[6.0]") + _record([], [[6, 0, -0.1]]), 0, id="float-final"),
+        pytest.param(
+            GOOD_HEADER + _record([], [[6, 0, -0.1]]) + _record([6.0], []),
+            len(GOOD_HEADER) + len(_record([], [[6, 0, -0.1]])),
+            id="float-canvas",
+        ),
+        pytest.param(
+            GOOD_HEADER.replace(b'"version": 1', b'"version": 99') + _record([], [[6, 0, -0.1]]), 0, id="version-99"
+        ),
+        pytest.param(
+            GOOD_HEADER + _record([], [[6, 0, -0.1]]).replace(b'"terminal": null', b'"terminal": 0'),
+            len(GOOD_HEADER),
+            id="terminal-not-a-record",
+        ),
     ],
 )
 def test_trace_render_corrupt_trace_is_a_usage_error(tmp_path, capsys, content, offset):
@@ -322,6 +340,8 @@ def test_output_length_past_max_positions_is_rejected(tiny_run, tmp_path, capsys
         pytest.param(["eval", "--limit", "2", "--sweep-beta=3:1:1"], id="eval-empty-sweep"),
         pytest.param(["eval", "--limit", "2", "--sweep-beta=0:inf:1"], id="eval-infinite-sweep-stop"),
         pytest.param(["eval", "--limit", "2", "--sweep-beta=0:1:inf"], id="eval-infinite-sweep-step"),
+        pytest.param(["eval", "--limit", "2", "--sweep-beta=0:1e9:1e-9"], id="eval-oversized-sweep"),
+        pytest.param(["eval", "--limit", "2", "--sweep-beta=0:1e308:1e-308"], id="eval-overflowing-sweep"),
     ],
 )
 def test_bad_decode_flag_is_a_usage_error(tiny_run, tmp_path, capsys, argv):

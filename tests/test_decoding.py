@@ -12,6 +12,7 @@ from insgen.canvas import apply_parallel_insertions
 from insgen.decoding import (
     DecodeConfig,
     DecodeTrace,
+    MAX_SWEEP_VALUES,
     TraceFormatError,
     apply_eos_penalty,
     beta_sweep_values,
@@ -346,6 +347,7 @@ def test_beta_sweep_grid():
     values = beta_sweep_values()
     assert len(values) == 15
     assert values[0] == 0.0 and values[-1] == 7.0
+    assert len(beta_sweep_values(0.0, MAX_SWEEP_VALUES - 1, 1.0)) == MAX_SWEEP_VALUES
 
 
 @pytest.mark.parametrize(
@@ -355,6 +357,19 @@ def test_beta_sweep_grid():
 def test_beta_sweep_rejects_a_non_finite_value(start, stop, step):
     with pytest.raises(ValueError, match="must be finite"):
         beta_sweep_values(start, stop, step)
+
+
+@pytest.mark.parametrize(
+    "stop, step, count",
+    [
+        pytest.param(MAX_SWEEP_VALUES, 1.0, MAX_SWEEP_VALUES + 1, id="one-over"),
+        pytest.param(1e9, 1e-9, 10**18 + 1, id="counted-not-built"),
+        pytest.param(1e308, 1e-308, math.inf, id="overflowing-count"),
+    ],
+)
+def test_beta_sweep_rejects_a_grid_over_the_cap(stop, step, count):
+    with pytest.raises(ValueError, match=f"have {count} values, more than the cap of {MAX_SWEEP_VALUES}"):
+        beta_sweep_values(0.0, stop, step)
 
 
 def test_single_step_beta_monotonicity():

@@ -24,7 +24,7 @@ from insgen.tasks import (
     save_corpus,
 )
 from insgen.vocab import NUM_RESERVED, UNK, Vocab, build_vocab, content_vocab
-from oracles import BalancedTreePolicy, Gusher
+from oracles import BalancedTreePolicy, Gusher, edit_distance_table
 
 
 def test_vocab_reserved_ids_lowest():
@@ -250,6 +250,20 @@ def test_edit_distance_cases():
     assert edit_distance((1, 2, 3), (1, 3)) == 1
     assert edit_distance((1, 2), (2, 1)) == 2
     assert edit_distance((1, 2, 3), (4, 5, 6)) == 3
+
+
+def _token_lists(alphabet: int):
+    """Lists of length 0-80 over `alphabet` tokens: 80 is past one 64-bit word of the bit-vectors."""
+    return st.integers(0, 80).flatmap(lambda n: st.lists(st.integers(0, alphabet - 1), min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda k: st.tuples(_token_lists(k), _token_lists(k))))
+def test_edit_distance_equals_the_table_oracle(pair):
+    a, b = (tuple(seq) for seq in pair)
+    distance = edit_distance(a, b)
+    assert distance == edit_distance_table(a, b)
+    assert edit_distance(b, a) == distance
 
 
 def _reference_bleu(hyps, refs, max_n=4):
