@@ -1,4 +1,4 @@
-"""The INSR container: model checkpoints and optimizer sidecars.
+"""The INSR container of model checkpoints.
 
 Layout (all integers little-endian u32):
 
@@ -6,7 +6,8 @@ Layout (all integers little-endian u32):
     manifest JSON | raw little-endian blob
 
 The manifest lists (name, shape, offset) per array, plus its dtype when
-that is not float32; array data is raw little-endian floats of that dtype
+that is not float32; shape entries and offsets are JSON integers, and each
+name appears once. Array data is raw little-endian floats of that dtype
 (float32 or float64) at the given blob offsets. Each array keeps the dtype
 it was written in, so a float64 model loads unrounded. `write` and `read`
 are the only code that knows this layout, and `read_arrays` the only check
@@ -14,10 +15,11 @@ of a manifest against the arrays a caller expects.
 
 A model checkpoint (`save`/`load`) has header {"config": model config,
 "extra": the run's record, `config.RunConfig.checkpoint_record()`} and
-one array per parameter. The optimizer sidecar (`save_optimizer_state` in
-training) has header {"step": k} and arrays m.<param> and v.<param>. Writing streams each
-array's bytes straight to the file (no blob is built in memory), is atomic
-(write temp, rename), and save -> load -> save round-trips byte-identically.
+one array per parameter. `training.save_optimizer_state` can still write
+Adam moments in this container, but nothing calls it: it stays only while
+the benchmark's tracer wraps its name. Writing streams each array's bytes
+straight to the file (no blob is built in memory), is atomic (write temp,
+rename), and save -> load -> save round-trips byte-identically.
 """
 
 from __future__ import annotations
@@ -126,14 +128,20 @@ def read(path: str) -> tuple[Any, Any, memoryview]:
 def read_arrays(path: str, manifest, blob: memoryview, shapes: dict[str, tuple]) -> dict[str, np.ndarray]:
     """The arrays a (name, shape, offset[, dtype]) manifest places in blob, each in its stored dtype.
 
-    The manifest must name exactly the arrays of `shapes`, with those
-    shapes and a dtype of DTYPES (float32 when absent), each inside the
-    blob; anything else raises CheckpointError.
+    The manifest must name each array of `shapes` exactly once, with that
+    shape, given as a list of JSON integers, a JSON integer offset and a
+    dtype of DTYPES (float32 when absent), each inside the blob; anything
+    else raises CheckpointError.
     """
+    entries = {}
     try:
-        entries = {
-            e["name"]: (tuple(e["shape"]), int(e["offset"]), DTYPES[e.get("dtype", "float32")]) for e in manifest
-        }
+        for e in manifest:
+            name, shape, offset = e["name"], e["shape"], e["offset"]
+            if name in entries:
+                raise ValueError(f"{name!r} is listed twice")
+            if type(shape) is not list or any(type(d) is not int for d in shape) or type(offset) is not int:
+                raise ValueError(f"{name!r} needs integer shape entries and an integer offset")
+            entries[name] = (tuple(shape), offset, DTYPES[e.get("dtype", "float32")])
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: malformed manifest: {type(e).__name__}: {e}") from None
     if set(entries) != set(shapes):

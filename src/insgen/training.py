@@ -15,9 +15,8 @@ position-wise layers run on real token rows only, so padding costs only in
 attention and the slot head. Source length leads the sort key, which keeps
 the encoder's S x S attention scores dense.
 
-The batch rng for step t derives from (seed, t), so resuming from a
-checkpoint (parameters + optimizer moments) reproduces an uninterrupted
-run exactly.
+The batch rng for step t derives from (seed, t), so a run's batches are
+a pure function of its seed.
 """
 
 from __future__ import annotations
@@ -98,10 +97,10 @@ def scheduled_learning_rate(config: TrainConfig, step: int) -> float:
     )
 
 
-def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float | None) -> float:
-    """Scale all gradients so the global norm is at most clip_norm; returns the raw norm."""
+def clip_gradients(grads: dict[str, np.ndarray], clip_norm: float) -> float:
+    """Scale all gradients so the global norm is at most clip_norm (0: no clipping); returns the raw norm."""
     total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    if clip_norm is not None and clip_norm > 0 and total > clip_norm:
+    if 0 < clip_norm < total:
         scale = clip_norm / total
         for g in grads.values():
             g *= scale
@@ -113,13 +112,11 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: OptimizerState,
     config: TrainConfig,
-    lr: float | None = None,
+    lr: float,
 ) -> None:
     """Bias-corrected Adam update, in place."""
     if set(params) != set(grads):
         raise ValueError("parameter and gradient name sets differ")
-    if lr is None:
-        lr = config.learning_rate
     state.step += 1
     t = state.step
     b1, b2, eps = config.adam_beta1, config.adam_beta2, config.adam_eps
@@ -199,7 +196,7 @@ def train_step(
 ) -> float:
     model.zero_grads()
     loss = 0.0
-    for group in _length_buckets(batch, MICRO_BATCH):
+    for group in _length_buckets(batch):
         # one tape per micro-batch: its backward adds into p.grad, and its
         # activations are freed before the next micro-batch runs
         with Tape() as tape:
@@ -215,20 +212,18 @@ def train_step(
     return loss
 
 
-def _length_buckets(batch: list[BatchItem], micro_batch: int) -> list[list[BatchItem]]:
-    """Split the batch into micro-batches sorted by (source, canvas) length (mean loss is unchanged)."""
-    if len(batch) <= micro_batch:
+def _length_buckets(batch: list[BatchItem]) -> list[list[BatchItem]]:
+    """Split the batch into MICRO_BATCH-item micro-batches sorted by (source, canvas) length (mean loss is unchanged)."""
+    if len(batch) <= MICRO_BATCH:
         return [batch]
     order = sorted(range(len(batch)), key=lambda i: (len(batch[i].x), len(batch[i].canvas), i))
     return [
-        [batch[i] for i in order[s : s + micro_batch]]
-        for s in range(0, len(order), micro_batch)
+        [batch[i] for i in order[s : s + MICRO_BATCH]]
+        for s in range(0, len(order), MICRO_BATCH)
     ]
 
 
-# -- optimizer state persistence ----------------------------------------------
-
-
+# No caller: perfbench/tracer.py wraps this name, so it goes when the tracer drops it (ROADMAP).
 def save_optimizer_state(path: str, state: OptimizerState) -> None:
     arrays = {
         f"{group}.{name}": arr
@@ -236,20 +231,6 @@ def save_optimizer_state(path: str, state: OptimizerState) -> None:
         for name, arr in moments.items()
     }
     ckpt.write(path, {"step": state.step}, arrays)
-
-
-def load_optimizer_state(path: str, model: InsertionModel) -> OptimizerState:
-    """Read a sidecar written by save_optimizer_state; a malformed one raises CheckpointError."""
-    header, manifest, blob = ckpt.read(path)
-    try:
-        state = OptimizerState(step=int(header["step"]))
-    except (KeyError, TypeError, ValueError) as e:
-        raise ckpt.CheckpointError(f"{path}: bad header: {type(e).__name__}: {e}") from None
-    shapes = {f"{group}.{name}": p.shape for group in ("m", "v") for name, p in model.params.items()}
-    for key, arr in ckpt.read_arrays(path, manifest, blob, shapes).items():
-        group, name = key.split(".", 1)
-        getattr(state, group)[name] = arr.astype(model.config.np_dtype)
-    return state
 
 
 # -- the loop ------------------------------------------------------------------
@@ -262,18 +243,14 @@ def train(
     config: TrainConfig,
     run_dir: str | None = None,
     extra_meta: dict | None = None,
-    opt_state: OptimizerState | None = None,
 ) -> tuple[OptimizerState, list[tuple[int, float]]]:
-    """Run the optimization loop; returns optimizer state and (step, loss) history.
+    """Run steps 1 to config.steps from fresh Adam moments; returns optimizer state and (step, loss) history.
 
-    It runs steps opt_state.step + 1 to config.steps, so a loaded sidecar's
-    state resumes the run. With a run_dir, appends to metrics.log and writes
-    ckpt-{step}.insr (+ .opt sidecar with the Adam moments) every
+    With a run_dir, appends to metrics.log and writes ckpt-{step}.insr every
     checkpoint_interval steps and at the end. Aborts on a non-finite loss
     with a diagnostic snapshot.
     """
-    if opt_state is None:
-        opt_state = OptimizerState.for_model(model)
+    opt_state = OptimizerState.for_model(model)
     history: list[tuple[int, float]] = []
     log_fh = None
     if run_dir is not None:
@@ -284,13 +261,11 @@ def train(
     def write_checkpoint(step: int) -> None:
         if run_dir is None:
             return
-        path = os.path.join(run_dir, f"ckpt-{step}.insr")
-        ckpt.save(path, model, extra=extra_meta or {})
-        save_optimizer_state(path + ".opt", opt_state)
+        ckpt.save(os.path.join(run_dir, f"ckpt-{step}.insr"), model, extra=extra_meta or {})
 
     wrote_final = False
     try:
-        for step in range(opt_state.step + 1, config.steps + 1):
+        for step in range(1, config.steps + 1):
             rng = np.random.default_rng([config.seed, step])
             batch = make_training_batch(dataset, loss_config, rng, config.batch_size)
             loss = train_step(model, batch, opt_state, config)

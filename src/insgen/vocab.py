@@ -31,6 +31,9 @@ class Vocab:
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for i, tok in enumerate(self.tokens):
+            if not isinstance(tok, str):
+                raise ValueError(f"vocab token {i} is {tok!r}, not a string")
         if tuple(self.tokens[:NUM_RESERVED]) != RESERVED:
             raise ValueError(f"vocab must start with the reserved tokens {RESERVED}")
         index = {tok: i for i, tok in enumerate(self.tokens)}

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import struct
 
@@ -136,3 +137,39 @@ def test_no_temp_file_left_behind(tmp_path):
     path = str(tmp_path / "m.insr")
     checkpoint.save(path, small_model())
     assert [f.name for f in tmp_path.iterdir()] == ["m.insr"]
+
+
+def _embed(manifest) -> dict:
+    return next(e for e in manifest if e["name"] == "embed")
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        pytest.param(lambda h, m: _embed(m).update(shape=[float(d) for d in _embed(m)["shape"]]),
+                     "malformed manifest", id="float-shape"),
+        pytest.param(lambda h, m: _embed(m).update(offset=math.inf), "malformed manifest", id="infinite-offset"),
+        pytest.param(lambda h, m: _embed(m).update(offset=_embed(m)["offset"] + 0.5),
+                     "malformed manifest", id="fractional-offset"),
+        pytest.param(lambda h, m: _embed(m).update(offset=str(_embed(m)["offset"])),
+                     "malformed manifest", id="string-offset"),
+        pytest.param(lambda h, m: _embed(m).update(offset=False), "malformed manifest", id="bool-offset"),
+        pytest.param(lambda h, m: m.append(dict(_embed(m), offset=0)), "malformed manifest", id="duplicate-name"),
+        pytest.param(lambda h, m: h["config"].update(d_model=16), "shape", id="other-model-shapes"),
+        pytest.param(lambda h, m: m.remove(_embed(m)), "missing ['embed']", id="missing-parameter"),
+        pytest.param(lambda h, m: h.pop("config"), "bad header", id="no-model-config"),
+    ],
+)
+def test_a_bad_header_or_manifest_raises_checkpoint_error(tmp_path, change, message):
+    # the file's container is intact; only the parsed header or manifest is edited, then written back
+    path = str(tmp_path / "m.insr")
+    checkpoint.save(path, small_model())
+    header, manifest, blob = checkpoint.read(path)
+    change(header, manifest)
+    header_b, manifest_b = json.dumps(header).encode(), json.dumps(manifest).encode()
+    with open(path, "wb") as f:
+        f.write(b"INSR" + struct.pack("<II", 1, len(header_b)) + header_b)
+        f.write(struct.pack("<I", len(manifest_b)) + manifest_b + bytes(blob))
+    with pytest.raises(checkpoint.CheckpointError) as info:
+        checkpoint.load(path)
+    assert str(info.value).startswith(f"{path}: ") and message in str(info.value), info.value

@@ -538,6 +538,7 @@ def test_eval_on_a_bad_task_checkpoint_is_a_usage_error(tiny_run, tmp_path, caps
         pytest.param(lambda e: e.clear(), "checkpoint records no vocab, loss, task, decode", id="empty-record"),
         pytest.param(lambda e: e.update(decode=[]), "config section [decode] must be an object", id="decode-not-object"),
         pytest.param(lambda e: e.update(vocab=["w0"]), "bad recorded vocab", id="vocab-without-reserved"),
+        pytest.param(lambda e: e["vocab"].__setitem__(6, 0), "bad recorded vocab", id="non-string-vocab-token"),
         pytest.param(
             lambda e: e["decode"].update(eos_penalty=float("inf")), "eos_penalty must be finite and nonnegative",
             id="infinite-beta",
