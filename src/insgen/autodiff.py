@@ -451,9 +451,17 @@ def _mean_last(a: np.ndarray) -> np.ndarray:
     return s
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
-    x_data = x.data
+def layer_norm(
+    x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5, residual: Tensor | None = None
+) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then scale and shift.
+
+    With a `residual` of x's shape, the op normalizes the sum x + residual:
+    a post-norm sublayer's residual add and its norm in one op, with the
+    bits of `layer_norm(add(x, residual), ...)`, forward and backward. Both
+    summands get the sum's gradient.
+    """
+    x_data = x.data if residual is None else x.data + residual.data
     mu = _mean_last(x_data)
     xhat = x_data - mu
     inv = np.einsum("...i,...i->...", xhat, xhat)[..., None]  # the variance chain, in place on one buffer
@@ -475,9 +483,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         lead = tuple(range(g.ndim - 1))
         dgain = np.add.reduce(g * xhat, axis=lead)
         dbias = np.add.reduce(g, axis=lead)
-        return dx, dgain, dbias
+        return dx, dgain, dbias, dx  # backward pairs these with the inputs, so the last dx goes only to a residual
 
-    return _record(out, (x, gain, bias), bwd)
+    return _record(out, (x, gain, bias) if residual is None else (x, gain, bias, residual), bwd)
 
 
 def _key_major(x: np.ndarray) -> np.ndarray:
@@ -514,16 +522,10 @@ def attention(
     d = h // num_heads
     Tk = k_shape[1]
     scale = q_data.dtype.type(1.0 / math.sqrt(d))
-
-    def heads(x):  # (B, T, h) -> (B, heads, T, d), a strided view
-        return x.reshape(B, -1, num_heads, d).transpose(0, 2, 1, 3)
-
-    def product(a, b):  # a @ b per head, written in place into a new C-contiguous (B, T, h)
-        x = np.empty((B, a.shape[-2], h), dtype=np.result_type(a, b))
-        np.matmul(a, b, out=heads(x))
-        return x
-
-    qh, kh, vh = heads(q_data * scale), heads(k_data), heads(v_data)
+    # heads are strided views (B, heads, T, d) of the (B, T, h) arrays
+    qh = (q_data * scale).reshape(B, Tq, num_heads, d).transpose(0, 2, 1, 3)
+    kh = k_data.reshape(B, Tk, num_heads, d).transpose(0, 2, 1, 3)
+    vh = v_data.reshape(B, Tk, num_heads, d).transpose(0, 2, 1, 3)
     scores = qh @ _key_major(kh)
     if mask is not None:
         m = np.asarray(mask, dtype=bool)
@@ -538,9 +540,19 @@ def attention(
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
     w = scores
-    out = _output(product(w, vh))
+    y = np.empty((B, Tq, h), dtype=np.result_type(w, vh))
+    np.matmul(w, vh, out=y.reshape(B, Tq, num_heads, d).transpose(0, 2, 1, 3))  # the heads of y, in place
+    out = _output(y)
     if not _TAPE_STACK:
         return out
+
+    def heads(x):  # (B, T, h) -> (B, heads, T, d), a strided view
+        return x.reshape(B, -1, num_heads, d).transpose(0, 2, 1, 3)
+
+    def product(a, b):  # a @ b per head, written in place into a new C-contiguous (B, T, h)
+        x = np.empty((B, a.shape[-2], h), dtype=np.result_type(a, b))
+        np.matmul(a, b, out=heads(x))
+        return x
 
     def bwd(g):
         goh = heads(g)

@@ -53,9 +53,17 @@ def save(path: str, model: InsertionModel, extra: dict[str, Any] | None = None) 
 
 
 def load(path: str) -> tuple[InsertionModel, dict[str, Any]]:
+    """The model a checkpoint holds, and its header's "extra".
+
+    The header's model section gets a run config's checks
+    (`config.build_section`) before any parameter is allocated, so a
+    wrong-typed or out-of-range value is a CheckpointError.
+    """
+    from .config import build_section  # config imports training, which imports this module
+
     header, manifest, blob = read(path)
     try:
-        config = ModelConfig(**header["config"])
+        config = build_section("model", ModelConfig, header["config"])
         model = InsertionModel(config, seed=0)
         extra = header["extra"]
     except (KeyError, TypeError, ValueError) as e:

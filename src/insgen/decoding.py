@@ -41,6 +41,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,9 +53,7 @@ from .vocab import LEFT_MARK, PAD, RIGHT_MARK, TERMINAL_IDS, UNK
 
 NEVER_INSERTED = (PAD, LEFT_MARK, RIGHT_MARK, UNK)  # reserved ids that are not terminal tokens
 
-# the two id sets as index arrays, built once for every decode iteration's scores
 _TERMINAL_INDEX = np.array(TERMINAL_IDS)
-_NEVER_INSERTED_INDEX = np.array(NEVER_INSERTED)
 
 MODES = ("greedy", "parallel")
 
@@ -102,20 +101,28 @@ class DecodeTrace:
         return sum(1 for s in self.steps if s.actions)
 
 
-def apply_eos_penalty(logp: np.ndarray, beta: float) -> np.ndarray:
-    """Decision scores: log-probs with beta subtracted from terminal tokens."""
+@lru_cache(maxsize=64)
+def _score_row(vocab_size: int, beta: float, dtype: np.dtype) -> np.ndarray:
+    """What `_decision_scores` adds to each slot's log-probs: -beta on the terminal ids, -inf on NEVER_INSERTED.
+
+    Read-only, since every caller with these arguments shares it.
+    """
     if beta < 0:
         raise ValueError("eos penalty must be nonnegative")
-    scores = logp.copy()
-    scores[..., _TERMINAL_INDEX] -= beta
-    return scores
+    row = np.zeros(vocab_size, dtype=dtype)
+    row[_TERMINAL_INDEX] = -beta
+    row[list(NEVER_INSERTED)] = -np.inf
+    row.flags.writeable = False
+    return row
 
 
 def _decision_scores(logp: np.ndarray, beta: float) -> np.ndarray:
-    """The scores both steps take their argmax of: penalized, and -inf on NEVER_INSERTED."""
-    scores = apply_eos_penalty(logp, beta)
-    scores[..., _NEVER_INSERTED_INDEX] = -np.inf
-    return scores
+    """The scores both steps take their argmax of: beta subtracted from terminal log-probs, -inf on NEVER_INSERTED.
+
+    Adding -beta has the bits of subtracting beta, and a score is only
+    compared, never reported, so the +0.0 that -0.0 + 0.0 gives is harmless.
+    """
+    return logp + _score_row(logp.shape[-1], beta, logp.dtype)
 
 
 def greedy_step(logp: np.ndarray, termination: str, beta: float = 0.0):

@@ -30,6 +30,16 @@ takes the pair as given. `encode` returns it for one source, and a decode
 loop hands it to every iteration, so the source side is computed once per
 sentence. The pair is a plain value the caller holds; the model keeps no
 state between calls.
+
+Parameters live in `params`, keyed by dotted name (`dec0.self.wq`). The
+forward reads them through sublayer records built once at init: per layer
+a tuple of records, one per sublayer in `ENCODER_SUBLAYERS` or
+`DECODER_SUBLAYERS` order, each a tuple of the very `Tensor` objects of
+`params` in its fields' order (attention `ATTENTION`, FFN `FFN`, norm
+`NORM`). So Adam's updates and `checkpoint.load`, which assign each
+Tensor's `.data`, reach the forward, and no call formats a key. Each
+sublayer's residual add is the `residual` operand of the `ad.layer_norm`
+that follows it: `x = layer_norm(x, gain, bias, residual=sublayer(x))`.
 """
 
 from __future__ import annotations
@@ -45,6 +55,15 @@ from .canvas import TokenSeq
 from .vocab import LEFT_MARK, PAD, RIGHT_MARK
 
 NEG_INF = -1e9  # additive mask value; safe in float32
+
+# a sublayer record's fields, in the order the forward unpacks them
+ATTENTION = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+FFN = ("w1", "b1", "w2", "b2")
+NORM = ("gain", "bias")
+ENCODER_SUBLAYERS = (("attn", ATTENTION), ("ln1", NORM), ("ffn", FFN), ("ln2", NORM))
+DECODER_SUBLAYERS = (
+    ("self", ATTENTION), ("ln1", NORM), ("cross", ATTENTION), ("ln2", NORM), ("ffn", FFN), ("ln3", NORM)
+)
 
 
 @dataclass
@@ -100,8 +119,14 @@ class InsertionModel:
     def __init__(self, config: ModelConfig, seed: int = 0):
         self.config = config
         self.params: dict[str, Tensor] = {}
-        self._positions = sinusoidal_positions(config.max_positions, config.d_model, config.np_dtype)
         self._init_params(np.random.default_rng(seed))
+        # built once: the positions of each width T, table[:T], and the embedding scale
+        table = sinusoidal_positions(config.max_positions, config.d_model, config.np_dtype)
+        self._positions = [Tensor(table[:T]) for T in range(config.max_positions + 1)]
+        self._scale = Tensor(np.asarray(math.sqrt(config.d_model), dtype=config.np_dtype))
+        # per layer, its sublayer records (see the module docstring)
+        self._encoder = [self._records(f"enc{i}", ENCODER_SUBLAYERS) for i in range(config.num_layers)]
+        self._decoder = [self._records(f"dec{i}", DECODER_SUBLAYERS) for i in range(config.num_layers)]
 
     # -- parameters ---------------------------------------------------------
 
@@ -132,18 +157,11 @@ class InsertionModel:
             self._add_param(f"{prefix}.gain", np.ones(h))
             self._add_param(f"{prefix}.bias", np.zeros(h))
 
-        for i in range(cfg.num_layers):
-            attn_block(f"enc{i}.attn")
-            norm_block(f"enc{i}.ln1")
-            ffn_block(f"enc{i}.ffn")
-            norm_block(f"enc{i}.ln2")
-        for i in range(cfg.num_layers):
-            attn_block(f"dec{i}.self")
-            norm_block(f"dec{i}.ln1")
-            attn_block(f"dec{i}.cross")
-            norm_block(f"dec{i}.ln2")
-            ffn_block(f"dec{i}.ffn")
-            norm_block(f"dec{i}.ln3")
+        blocks = {ATTENTION: attn_block, FFN: ffn_block, NORM: norm_block}
+        for stack, sublayers in (("enc", ENCODER_SUBLAYERS), ("dec", DECODER_SUBLAYERS)):
+            for i in range(cfg.num_layers):
+                for name, fields in sublayers:
+                    blocks[fields](f"{stack}{i}.{name}")
 
         self._add_param("slot_merge.w", self._glorot(rng, 2 * h, h))
         self._add_param("slot_merge.b", np.zeros(h))
@@ -158,52 +176,50 @@ class InsertionModel:
                 self._add_param(f"out.mos{k}.b", np.zeros(h))
             self._add_param("out.mos_prior", self._glorot(rng, h, cfg.mos_components))
 
+    def _records(self, layer: str, sublayers: tuple[tuple[str, tuple[str, ...]], ...]) -> tuple:
+        """A layer's sublayer records: per (name, fields) the tuple of Tensors `params[f"{layer}.{name}.{field}"]`."""
+        return tuple(tuple(self.params[f"{layer}.{name}.{f}"] for f in fields) for name, fields in sublayers)
+
     def zero_grads(self) -> None:
         for p in self.params.values():
             p.zero_grad()
 
     # -- building blocks ----------------------------------------------------
 
-    def _kv(self, prefix: str, x: Tensor, layout: Layout) -> tuple[Tensor, Tensor]:
-        """Keys and values of x's rows, each as a (B, T, h) slab."""
-        p = self.params
-        k = ad.affine(x, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
-        v = ad.affine(x, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
-        return _pad(k, layout), _pad(v, layout)
+    def _kv(self, attn: tuple[Tensor, ...], x: Tensor, layout: Layout) -> tuple[Tensor, Tensor]:
+        """Keys and values of x's rows under an attention record, each as a (B, T, h) slab."""
+        _, _, wk, bk, wv, bv, _, _ = attn
+        return _pad(ad.affine(x, wk, bk), layout), _pad(ad.affine(x, wv, bv), layout)
 
     def _attn(
         self,
-        prefix: str,
+        attn: tuple[Tensor, ...],
         x: Tensor,
         layout: Layout,
         mask: np.ndarray | None,
         kv: tuple[Tensor, Tensor] | None = None,
     ) -> Tensor:
         """Attention of x's rows over kv, a (keys, values) pair of slabs; self-attention when kv is None."""
-        p = self.params
-        q = ad.affine(x, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
-        k, v = self._kv(prefix, x, layout) if kv is None else kv
+        wq, bq, _, _, _, _, wo, bo = attn
+        q = ad.affine(x, wq, bq)
+        k, v = self._kv(attn, x, layout) if kv is None else kv
         a = ad.attention(_pad(q, layout), k, v, num_heads=self.config.num_heads, mask=mask)
-        return ad.affine(_unpad(a, layout), p[f"{prefix}.wo"], p[f"{prefix}.bo"])
+        return ad.affine(_unpad(a, layout), wo, bo)
 
-    def _ffn_apply(self, prefix: str, x: Tensor) -> Tensor:
-        p = self.params
-        hidden = ad.relu(ad.affine(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"]))
-        return ad.affine(hidden, p[f"{prefix}.w2"], p[f"{prefix}.b2"])
-
-    def _norm(self, prefix: str, x: Tensor) -> Tensor:
-        return ad.layer_norm(x, self.params[f"{prefix}.gain"], self.params[f"{prefix}.bias"])
+    @staticmethod
+    def _ffn(ffn: tuple[Tensor, ...], x: Tensor) -> Tensor:
+        w1, b1, w2, b2 = ffn
+        return ad.affine(ad.relu(ad.affine(x, w1, b1)), w2, b2)
 
     def _embed_positions(self, ids: np.ndarray, layout: Layout) -> Tensor:
         """Scaled token embeddings plus positions of the real rows of ids (B, T)."""
         rows = layout[0]
         T = ids.shape[-1]
-        pe = self._positions[:T]
+        pe = self._positions[T]
         if rows is not None:
-            ids, pe = ids.reshape(-1)[rows], pe[rows % T]
+            ids, pe = ids.reshape(-1)[rows], Tensor(pe.data[rows % T])
         emb = ad.embedding(self.params["embed"], ids)
-        scaled = ad.mul(emb, float(math.sqrt(self.config.d_model)))
-        return ad.add(scaled, Tensor(pe))
+        return ad.add(ad.mul(emb, self._scale), pe)
 
     # -- encoder ------------------------------------------------------------
 
@@ -221,10 +237,10 @@ class InsertionModel:
             raise ValueError(f"source length {S} exceeds max_positions {self.config.max_positions}")
         layout, mask = _layout(src_len, S)
         x = self._embed_positions(src, layout)
-        for i in range(self.config.num_layers):
-            x = self._norm(f"enc{i}.ln1", ad.add(x, self._attn(f"enc{i}.attn", x, layout, mask)))
-            x = self._norm(f"enc{i}.ln2", ad.add(x, self._ffn_apply(f"enc{i}.ffn", x)))
-        return [self._kv(f"dec{i}.cross", x, layout) for i in range(self.config.num_layers)], mask
+        for attn, ln1, ffn, ln2 in self._encoder:
+            x = ad.layer_norm(x, *ln1, residual=self._attn(attn, x, layout, mask))
+            x = ad.layer_norm(x, *ln2, residual=self._ffn(ffn, x))
+        return [self._kv(cross_attn, x, layout) for _, _, cross_attn, *_ in self._decoder], mask
 
     # -- decoder / slot matrix ----------------------------------------------
 
@@ -250,20 +266,24 @@ class InsertionModel:
                 f"canvas length {C} needs {width} decoder positions, exceeding max_positions "
                 f"{self.config.max_positions}"
             )
+        layout, key_mask = _layout(decoder_positions(canvas_len), width)
         ids = np.full((B, width), PAD, dtype=np.int64)
         ids[:, 0] = LEFT_MARK
         ids[:, 1 : C + 1] = canvas
-        ids[np.arange(B), canvas_len + 1] = RIGHT_MARK
-        layout, key_mask = _layout(decoder_positions(canvas_len), width)
+        if key_mask is None:  # every canvas is C long
+            ids[:, C + 1] = RIGHT_MARK
+        else:
+            ids[np.arange(B), canvas_len + 1] = RIGHT_MARK
 
         x = self._embed_positions(ids, layout)
-        for i in range(self.config.num_layers):
-            x = self._norm(f"dec{i}.ln1", ad.add(x, self._attn(f"dec{i}.self", x, layout, key_mask)))
-            x = self._norm(f"dec{i}.ln2", ad.add(x, self._attn(f"dec{i}.cross", x, layout, src_mask, cross[i])))
-            x = self._norm(f"dec{i}.ln3", ad.add(x, self._ffn_apply(f"dec{i}.ffn", x)))
+        for (self_attn, ln1, cross_attn, ln2, ffn, ln3), kv in zip(self._decoder, cross, strict=True):
+            x = ad.layer_norm(x, *ln1, residual=self._attn(self_attn, x, layout, key_mask))
+            x = ad.layer_norm(x, *ln2, residual=self._attn(cross_attn, x, layout, src_mask, kv))
+            x = ad.layer_norm(x, *ln3, residual=self._ffn(ffn, x))
         pairs = ad.adjacent_pairs(_pad(x, layout))  # (B, C+1, 2h)
         H = ad.affine(pairs, self.params["slot_merge.w"], self.params["slot_merge.b"])
-        slot_mask = np.arange(C + 1)[None, :] <= canvas_len[:, None]
+        # slot l is valid iff l <= canvas_len, i.e. iff decoder position l + 1 is real
+        slot_mask = np.ones((B, C + 1), dtype=bool) if key_mask is None else key_mask[:, 0, 1:]
         return H, slot_mask
 
     # -- output heads ---------------------------------------------------------
@@ -337,7 +357,7 @@ class InsertionModel:
 
     def log_probs(self, source, canvas: TokenSeq) -> np.ndarray:
         """Joint log p(c, l) for one canvas, given the pair `encode` returned: ndarray (T+1, vocab)."""
-        ids = np.asarray([canvas], dtype=np.int64).reshape(1, len(canvas))
+        ids = np.array([canvas], dtype=np.int64)  # (1, 0) for the empty canvas too
         H, slot_mask = self.slot_matrix_batch(*source, ids, np.array([len(canvas)]))
         return self.joint_log_probs_batch(H, slot_mask).data[0]
 
@@ -350,8 +370,8 @@ Layout = tuple[np.ndarray | None, tuple[int, int]]
 
 
 def _layout(lengths: np.ndarray, T: int) -> tuple[Layout, np.ndarray | None]:
-    """Row layout and key mask (B, 1, T) of rows holding lengths[b] real positions each."""
-    if (lengths == T).all():
+    """Row layout and key mask (B, 1, T) of rows holding lengths[b] <= T real positions each."""
+    if lengths.min() == T:
         return (None, (len(lengths), T)), None
     valid = np.arange(T)[None, :] < lengths[:, None]
     return (np.flatnonzero(valid), valid.shape), valid[:, None, :]
@@ -392,12 +412,11 @@ def _mix(per_comp: list[Tensor], log_prior: Tensor) -> Tensor:
 
 
 def conditional_log_probs(joint_logp: np.ndarray) -> np.ndarray:
-    """Per-slot conditionals log p(c | l) from joint log-probs via renormalization."""
-    lse = _logsumexp_np(joint_logp, axis=-1, keepdims=True)
+    """Per-slot conditionals log p(c | l) from joint log-probs: each slot minus its logsumexp."""
+    m = joint_logp.max(axis=-1, keepdims=True)
+    e = joint_logp - m
+    np.exp(e, out=e)
+    lse = e.sum(axis=-1, keepdims=True)
+    np.log(lse, out=lse)
+    lse += m
     return joint_logp - lse
-
-
-def _logsumexp_np(x: np.ndarray, axis=-1, keepdims=False) -> np.ndarray:
-    m = x.max(axis=axis, keepdims=True)
-    out = m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True))
-    return out if keepdims else np.squeeze(out, axis=axis)

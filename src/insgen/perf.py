@@ -24,23 +24,11 @@ _OPENBLAS_SYMBOLS = (
 def limit_blas_threads(n: int = 1) -> bool:
     """Pin BLAS to n threads; returns whether a BLAS thread pool was found and pinned.
 
-    Uses threadpoolctl when it is installed. Otherwise it calls the thread
-    setter of the OpenBLAS bundled in numpy's wheel (`numpy.libs`) and reads
-    the count back. Environment variables such as OPENBLAS_NUM_THREADS are
+    Calls the thread setter of the OpenBLAS bundled in numpy's wheel
+    (`numpy.libs`) and reads the count back; a numpy with another BLAS is
+    left as it is. Environment variables such as OPENBLAS_NUM_THREADS are
     no use here: OpenBLAS reads them once, when numpy is imported.
     """
-    try:
-        import threadpoolctl
-    except ImportError:
-        return _pin_bundled_openblas(n)
-    threadpoolctl.threadpool_limits(limits=n, user_api="blas")
-    return any(
-        info["user_api"] == "blas" and info["num_threads"] == n
-        for info in threadpoolctl.threadpool_info()
-    )
-
-
-def _pin_bundled_openblas(n: int) -> bool:
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "lib*openblas*.so*"))):
         lib = ctypes.CDLL(path)

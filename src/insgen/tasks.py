@@ -52,6 +52,8 @@ class TaskSpec:
             raise ValueError("content_vocab_size must be >= 1")
         if self.num_train < 0 or self.num_dev < 0:
             raise ValueError("num_train and num_dev must be >= 0")
+        if self.seed < 0:  # numpy's seeding takes nonnegative integers; the config's type check takes the rest
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     def vocab(self) -> Vocab:
         return content_vocab(self.content_vocab_size)

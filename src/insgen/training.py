@@ -63,6 +63,8 @@ class TrainConfig:
                 raise ValueError(f"{name} must lie in (0, 1), got {getattr(self, name)}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:  # numpy's seeding takes nonnegative integers; the config's type check takes the rest
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed!r}")
         # 0 means no warmup, no clipping, and a checkpoint only at the end
         for name in ("steps", "warmup_steps", "clip_norm", "checkpoint_interval"):
             if not getattr(self, name) >= 0:  # also rejects NaN

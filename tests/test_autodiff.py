@@ -171,6 +171,17 @@ def test_layer_norm_gradcheck():
     _gradcheck(lambda: ad.tsum(ad.mul(ad.layer_norm(x, gain, bias), w)), [x, gain, bias])
 
 
+def test_layer_norm_with_a_residual_gradcheck():
+    rng = np.random.default_rng(18)
+    x, residual = (ad.Tensor(rng.normal(size=(3, 5)), requires_grad=True) for _ in range(2))
+    gain = ad.Tensor(rng.normal(size=5), requires_grad=True)
+    bias = ad.Tensor(rng.normal(size=5), requires_grad=True)
+    w = rng.normal(size=(3, 5))
+    _gradcheck(
+        lambda: ad.tsum(ad.mul(ad.layer_norm(x, gain, bias, residual=residual), w)), [x, residual, gain, bias]
+    )
+
+
 def test_embedding_gradcheck_scatter():
     rng = np.random.default_rng(9)
     table = ad.Tensor(rng.normal(size=(6, 3)), requires_grad=True)
@@ -528,6 +539,48 @@ def test_attention_without_mask_equals_an_all_true_mask_bit_for_bit(dtype):
         results.append([out.data] + [t.grad for t in ts])
     for a, b in zip(*results):
         assert _same_bits(a, b)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("shape", [(2, 9, 64), (11, 64), (4, 17)])
+def test_layer_norm_with_a_residual_equals_layer_norm_of_the_sum_bit_for_bit(dtype, shape):
+    # the fused residual is the model's post-norm sublayer: forward and every gradient keep their bits
+    rng = np.random.default_rng(13)
+    x, residual = ((rng.normal(size=shape) * 3 + 1).astype(dtype) for _ in range(2))
+    x[..., -2:, :] = 0.0  # padded rows: all zero in both summands, as in a padded slab
+    residual[..., -2:, :] = 0.0
+    gain, bias = (rng.normal(size=shape[-1]).astype(dtype) for _ in range(2))
+    g = rng.normal(size=shape).astype(dtype)
+    results = []
+    for fused in (False, True):
+        tx, tr, tg, tb = (ad.Tensor(a, requires_grad=True) for a in (x, residual, gain, bias))
+        with ad.Tape() as tape:
+            out = ad.layer_norm(tx, tg, tb, residual=tr) if fused else ad.layer_norm(ad.add(tx, tr), tg, tb)
+            loss = ad.tsum(ad.mul(out, ad.Tensor(g)))
+        ad.backward(tape, loss)
+        results.append([out.data, tx.grad, tr.grad, tg.grad, tb.grad])
+    for unfused, fused in zip(*results):
+        assert _same_bits(unfused, fused)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize("Tq, Tk", [(14, 14), (14, 12), (1, 1)])
+def test_untaped_attention_equals_taped_attention_bit_for_bit_at_one_row(dtype, masked, Tq, Tk):
+    # B = 1 is every decode call; the untaped forward builds no closures and must keep the taped bits
+    rng = np.random.default_rng(Tq * 10 + Tk)
+    q = rng.normal(size=(1, Tq, 64)).astype(dtype)
+    k, v = (rng.normal(size=(1, Tk, 64)).astype(dtype) for _ in range(2))
+    mask = None
+    if masked:
+        mask = rng.random(size=(1, 1, Tk)) < 0.7
+        mask[..., 0] = True
+    untaped = ad.attention(*(ad.Tensor(a, requires_grad=True) for a in (q, k, v)), num_heads=4, mask=mask)
+    with ad.Tape() as tape:
+        taped = ad.attention(*(ad.Tensor(a, requires_grad=True) for a in (q, k, v)), num_heads=4, mask=mask)
+    assert tape.nodes and untaped.node is None
+    assert _same_bits(untaped.data, taped.data)
+    assert _same_bits(untaped.data, _attention_with_head_copies(q, k, v, 4, mask, np.zeros_like(q))[0])
 
 
 def _attention_with_head_copies(q, k, v, num_heads, mask, g):

@@ -158,6 +158,7 @@ def _embed(manifest) -> dict:
         pytest.param(lambda h, m: h["config"].update(d_model=16), "shape", id="other-model-shapes"),
         pytest.param(lambda h, m: m.remove(_embed(m)), "missing ['embed']", id="missing-parameter"),
         pytest.param(lambda h, m: h.pop("config"), "bad header", id="no-model-config"),
+        pytest.param(lambda h, m: h["config"].update(d_ff=math.nan), "model.d_ff must be int", id="nan-d-ff"),
     ],
 )
 def test_a_bad_header_or_manifest_raises_checkpoint_error(tmp_path, change, message):

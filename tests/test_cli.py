@@ -1,6 +1,7 @@
 """End-to-end CLI behavior on a tiny run."""
 
 import json
+import math
 import os
 import re
 
@@ -383,6 +384,8 @@ def test_truncated_checkpoint_is_a_usage_error(tiny_run, tmp_path, capsys):
         pytest.param({"head_variant": "bogus"}, id="invalid-value"),
         pytest.param({"num_heads": 3}, id="inconsistent-values"),
         pytest.param({"d_model": "wide"}, id="wrong-type"),
+        pytest.param({"d_ff": math.nan}, id="nan-d-ff"),  # was an OverflowError traceback from the init
+        pytest.param({"d_model": 64.0}, id="float-d-model"),
     ],
 )
 def test_bad_model_config_in_checkpoint_is_a_usage_error(tiny_run, tmp_path, capsys, change):
@@ -393,9 +396,11 @@ def test_bad_model_config_in_checkpoint_is_a_usage_error(tiny_run, tmp_path, cap
     header_b = json.dumps(header).encode()
     path = tmp_path / "bad.insr"
     path.write_bytes(raw[:8] + len(header_b).to_bytes(4, "little") + header_b + raw[12 + header_len :])
-    assert main(["eval", "--checkpoint", str(path), "--limit", "2"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and str(path) in err and "Traceback" not in err, err
+    for argv in (["eval", "--limit", "2"], ["decode", "--tokens", "w0"]):
+        assert main(argv + ["--checkpoint", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(path) in err and "Traceback" not in err, err
+        assert len(err.splitlines()) == 1, err
 
 
 LONG_SOURCE = " ".join(["w0"] * 70)  # the tiny run's model has 64 positions
@@ -493,6 +498,8 @@ def test_train_data_size_contract_is_a_usage_error(tmp_path, capsys, override, m
         pytest.param("train.adam_beta2=1", "adam_beta2 must lie in (0, 1)", id="beta2-one"),
         pytest.param("train.adam_beta1=1.5", "adam_beta1 must lie in (0, 1)", id="beta1-above-one"),
         pytest.param("model.vocab_size=7", "model vocab_size 7 smaller than task vocab", id="vocab-too-small"),
+        pytest.param("task.seed=-1", "seed must be a nonnegative integer, got -1", id="negative-task-seed"),
+        pytest.param("train.seed=-1", "seed must be a nonnegative integer, got -1", id="negative-train-seed"),
     ],
 )
 def test_bad_config_value_is_a_usage_error(tmp_path, capsys, override, message):
@@ -516,6 +523,7 @@ def test_bad_config_value_is_a_usage_error(tmp_path, capsys, override, message):
         pytest.param({"content_vocab_size": 0}, "content_vocab_size must be >= 1", id="no-content-tokens"),
         pytest.param({"min_length": 66, "max_length": 70}, "task.max_length 70 needs 72", id="task-past-positions"),
         pytest.param({"content_vocab_size": 20}, "smaller than task vocab", id="task-vocab-past-model"),
+        pytest.param({"seed": -1}, "seed must be a nonnegative integer", id="negative-seed"),
     ],
 )
 def test_eval_on_a_bad_task_checkpoint_is_a_usage_error(tiny_run, tmp_path, capsys, change, message):

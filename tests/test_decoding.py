@@ -13,8 +13,9 @@ from insgen.decoding import (
     DecodeConfig,
     DecodeTrace,
     MAX_SWEEP_VALUES,
+    NEVER_INSERTED,
     TraceFormatError,
-    apply_eos_penalty,
+    _decision_scores,
     beta_sweep_values,
     decode,
     greedy_step,
@@ -24,7 +25,7 @@ from insgen.decoding import (
     render_trace,
     write_trace,
 )
-from insgen.vocab import EOS, EOSLOT, NUM_RESERVED
+from insgen.vocab import EOS, EOSLOT, NUM_RESERVED, TERMINAL_IDS
 from oracles import BalancedTreePolicy, Gusher, ScriptedPolicy, is_subsequence
 
 V = NUM_RESERVED + 10
@@ -36,12 +37,34 @@ def uniform_logp(slots: int) -> np.ndarray:
     return np.full((slots, V), -math.log(slots * V))
 
 
-def test_apply_eos_penalty_zero_is_identity():
+def _copy_and_index_scores(logp: np.ndarray, beta: float) -> np.ndarray:
+    """The decision scores as a copy and two index writes: the oracle for `_decision_scores`."""
+    scores = logp.copy()
+    scores[..., list(TERMINAL_IDS)] -= beta
+    scores[..., list(NEVER_INSERTED)] = -np.inf
+    return scores
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("beta", [0.0, 2.5, 1e30])
+def test_decision_scores_equal_the_copy_and_index_form(dtype, beta):
+    rng = np.random.default_rng(11)
+    for shape in ((1, V), (7, V), (3, 5, V)):
+        logp = rng.normal(-4.0, 3.0, size=shape).astype(dtype)
+        logp.flat[:3] = [0.0, -0.0, -np.inf]  # signed zeros and a zero probability
+        got, want = _decision_scores(logp, beta), _copy_and_index_scores(logp, beta)
+        assert got.dtype == want.dtype == dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)  # equal values; -0.0 + 0.0 may come out as +0.0
+        assert (got.argmax(axis=-1) == want.argmax(axis=-1)).all()
+        assert got.argmax() == want.argmax()
+
+
+def test_decision_scores_at_zero_beta_are_the_content_log_probs():
     logp = uniform_logp(3)
-    np.testing.assert_array_equal(apply_eos_penalty(logp, 0.0), logp)
+    np.testing.assert_array_equal(_decision_scores(logp, 0.0)[:, NUM_RESERVED:], logp[:, NUM_RESERVED:])
 
 
-def test_apply_eos_penalty_flips_decision():
+def test_greedy_step_beta_flips_decision():
     logp = np.full((1, V), -10.0)
     logp[0, EOS] = -1.0
     best_non_terminal = NUM_RESERVED
@@ -55,9 +78,9 @@ def test_apply_eos_penalty_flips_decision():
 def test_penalty_never_changes_non_terminal_argmax(seed, beta):
     rng = np.random.default_rng(seed)
     logp = rng.normal(size=(4, V))
-    scores = apply_eos_penalty(logp, beta)
+    scores = _decision_scores(logp, beta)
     masked = logp.copy()
-    masked[:, [EOS, EOSLOT]] = -np.inf
+    masked[:, [EOS, EOSLOT, *NEVER_INSERTED]] = -np.inf
     masked_p = scores.copy()
     masked_p[:, [EOS, EOSLOT]] = -np.inf
     assert masked.argmax() == masked_p.argmax()

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from insgen.model import InsertionModel, ModelConfig, conditional_log_probs
+from insgen import checkpoint
+from insgen.model import DECODER_SUBLAYERS, ENCODER_SUBLAYERS, InsertionModel, ModelConfig, conditional_log_probs
 from insgen.vocab import NUM_RESERVED
 
 
@@ -55,6 +56,28 @@ def test_encode_shape_contract():
     assert src_mask is None and len(cross) == 2
     for keys, values in cross:
         assert keys.shape == values.shape == (1, 3, 16)
+
+
+def test_sublayer_records_hold_the_tensors_of_params(tmp_path):
+    # the forward reads the very Tensors that Adam updates and checkpoint.load fills
+    model = make_model(num_layers=2)
+    seen = set()
+    for stack, layers, sublayers in (("enc", model._encoder, ENCODER_SUBLAYERS), ("dec", model._decoder, DECODER_SUBLAYERS)):
+        assert len(layers) == 2
+        for i, layer in enumerate(layers):
+            assert len(layer) == len(sublayers)
+            for record, (name, fields) in zip(layer, sublayers):
+                assert len(record) == len(fields)
+                for tensor, field in zip(record, fields):
+                    key = f"{stack}{i}.{name}.{field}"
+                    assert tensor is model.params[key], key
+                    seen.add(key)
+    assert seen == {k for k in model.params if k.startswith(("enc", "dec"))}
+    # a loaded model is built from seed 0 and then filled, so only shared Tensors give the saved model's output
+    path = str(tmp_path / "m.insr")
+    checkpoint.save(path, model)
+    loaded, _ = checkpoint.load(path)
+    assert loaded.log_probs(loaded.encode((7, 8, 9)), (8, 9)).tobytes() == _joint(model, (7, 8, 9), (8, 9)).tobytes()
 
 
 def test_encode_position_sensitivity():
